@@ -23,7 +23,7 @@ from .errors import (
     SingularResolvent,
 )
 from .dilation import DilationData, coefficient_tail_sum
-from .hardy import blockdiag_symbol, charfn_symbol, shift_matrix, unitary_symbol
+from .hardy import blockdiag_symbol, charfn_symbol, row_mask, shift_apply, unitary_symbol
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -343,20 +343,15 @@ def dilation_form_residual(t: CTuple, d: DilationData, f: CharFn) -> float:
         r = space.position(beta, 0)
         lhs[r : r + p] = reduce @ big
 
-    shifts = [shift_matrix(space, i) for i in range(n)]
     rhs = np.zeros_like(lhs)
     for i in range(n):
-        x = shifts[i] @ d.pi - d.pi @ t[i]
+        x = shift_apply(space, i, d.pi) - d.pi @ t[i]
         for j in range(n):
             if j != i:
-                x = x - shifts[j] @ x @ t[j].conj().T
+                x = x - shift_apply(space, j, x) @ t[j].conj().T
         rhs[:, i * dim : (i + 1) * dim] = x
 
-    keep = np.zeros(space.dim, dtype=bool)
-    for k in space.exponents:
-        if all(kj <= d.degree - 1 for kj in k):
-            r = space.position(k, 0)
-            keep[r : r + p] = True
+    keep = row_mask(space, d.degree - 1)
     diff = lhs[keep] - rhs[keep]
     return float(np.max(np.abs(diff), initial=0.0))
 

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPure, PolydiscError
-from .hardy import HardySpace, build_space, shift_matrix
-from .linalg import DEFAULT_TOL, Subspace, Tolerances, range_basis, spec_norm
+from .errors import DimensionOverflow, NotPure, PolydiscError
+from .hardy import HardySpace, build_space, gather_blocks, offset_ranks, row_mask, shift_apply
+from .linalg import DEFAULT_TOL, Subspace, Tolerances, containment_residual, range_basis, spec_norm
 from .tuples import CTuple, defect_first_kind, is_pure
 
 DEGREE_CAP = 64
+# Bytes of the largest minimality span build_dilation accepts: the span is the
+# largest dense operand of the dilation path, and its SVD needs a few times it.
+SPAN_BYTE_BUDGET = 2**28
 
 
 def select_degree(t: CTuple, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -111,23 +114,24 @@ def build_dilation(t: CTuple, degree: int | None = None) -> DilationData:
     n_deg = select_degree(t, t.tol) if degree is None else int(degree)
     if n_deg < 1:
         raise ValueError(f"truncation degree must be >= 1, got {n_deg}")
+    span_bytes = n_deg**t.n * basis.dim * n_deg**t.n * t.dim * 16
+    if span_bytes > SPAN_BYTE_BUDGET:
+        raise DimensionOverflow(f"degree {n_deg} needs a {span_bytes / 2**20:.0f} MiB "
+                                f"minimality span; budget {SPAN_BYTE_BUDGET / 2**20:.0f} MiB")
     space = build_space(t.n, n_deg, basis.dim)
 
     adjoints = [m.conj().T for m in t]
-    powers: dict[tuple[int, ...], np.ndarray] = {}
-    coeff_map: dict[tuple[int, ...], np.ndarray] = {}
-    reduced = basis.basis.conj().T
-    pi = np.zeros((space.dim, t.dim), dtype=np.complex128)
-    for k in space.exponents:
-        if not any(k):
-            powers[k] = np.eye(t.dim, dtype=np.complex128)
-        else:
-            i = next(j for j, kj in enumerate(k) if kj)
-            prev = tuple(kj - (1 if j == i else 0) for j, kj in enumerate(k))
-            powers[k] = adjoints[i] @ powers[prev]
-        coeff_map[k] = root @ powers[k]
-        r = space.position(k, 0)
-        pi[r : r + basis.dim] = reduced @ coeff_map[k]
+    # rank 0 is z^0; T^{*k} = T_i^* T^{*(k - e_i)} with i the first nonzero
+    # variable of k, and k - e_i has lower total degree, so a lower rank
+    first = np.argmax(space.exps > 0, axis=1)
+    prev = space.rank(np.maximum(space.exps - np.eye(t.n, dtype=int)[first], 0))
+    powers = np.empty((space.mono_count, t.dim, t.dim), dtype=np.complex128)
+    powers[0] = np.eye(t.dim)
+    for a in range(1, space.mono_count):
+        powers[a] = adjoints[first[a]] @ powers[prev[a]]
+    coeffs = root @ powers
+    coeff_map = dict(zip(space.exponents, coeffs))
+    pi = (basis.basis.conj().T @ coeffs).reshape(space.dim, t.dim)
 
     image = range_basis(pi, t.tol, floor=1.0)
     tail = _tail_bound(t, n_deg, spec_norm(root))
@@ -139,22 +143,9 @@ def isometry_defect(d: DilationData) -> float:
     return spec_norm(d.pi.conj().T @ d.pi - np.eye(d.tuple.dim))
 
 
-def _row_mask(d: DilationData, variable: int | None = None) -> np.ndarray:
-    """Boolean row selector excluding top per-variable degree.
-
-    With a variable given, only that variable's top degree is excluded;
-    otherwise the top degree of every variable is.
-    """
-    keep = np.zeros(d.space.dim, dtype=bool)
-    for k in d.space.exponents:
-        if variable is None:
-            ok = all(kj <= d.degree - 1 for kj in k)
-        else:
-            ok = k[variable] <= d.degree - 1
-        if ok:
-            r = d.space.position(k, 0)
-            keep[r : r + d.space.coeff_dim] = True
-    return keep
+def _below_top(d: DilationData, i: int) -> np.ndarray:
+    """Boolean row selector excluding the top degree of variable i."""
+    return row_mask(d.space, d.degree - np.eye(d.space.n, dtype=int)[i])
 
 
 def intertwining_defect(d: DilationData) -> float:
@@ -166,48 +157,43 @@ def intertwining_defect(d: DilationData) -> float:
     """
     worst = 0.0
     for i in range(d.tuple.n):
-        m = shift_matrix(d.space, i)
-        resid = d.pi @ d.tuple[i].conj().T - m.conj().T @ d.pi
-        resid = resid[_row_mask(d, i)]
-        worst = max(worst, spec_norm(resid))
+        resid = d.pi @ d.tuple[i].conj().T - shift_apply(d.space, i, d.pi, adjoint=True)
+        worst = max(worst, spec_norm(resid[_below_top(d, i)]))
     return worst
 
 
 def minimality_defect(d: DilationData) -> float:
     """Distance of window monomial vectors from span of shifted columns.
 
-    The spanned set is { masked z^k (pi h) : k in box, h basis vector };
-    the reported value is the worst distance of a windowed coordinate
-    vector from that span.
+    The spanned set is { z^k (pi h) : k in box, h basis vector }, masked
+    to the window of rows with every k_i <= N - 1; the reported
+    value is the worst distance of a windowed coordinate vector from that
+    span.  Rows outside the window are zero after the mask, and so is the
+    column of every shift with some k_i = N, since it moves every row to
+    degree N or more in variable i.  Dropping those zero rows and columns
+    changes neither the span nor any distance, so the span matrix is built
+    on window rows and window shifts only: (N^n p) x (N^n dim) instead of
+    D x (mono dim).  Column block k holds, in window row e, the pi block
+    of e - k (zero unless e >= k), gathered one shift at a time.
     """
     space, p, dim = d.space, d.space.coeff_dim, d.tuple.dim
-    ranks = {k: idx for idx, k in enumerate(space.exponents)}
-    mono = space.mono_count
-    blocks = d.pi.reshape(mono, p, dim)
-    cols = np.zeros((space.dim, mono * dim), dtype=np.complex128)
-    for b, k in enumerate(space.exponents):
-        for a, e in enumerate(space.exponents):
-            target = tuple(x + y for x, y in zip(e, k))
-            r = ranks.get(target)
-            if r is not None:
-                cols[r * p : (r + 1) * p, b * dim : (b + 1) * dim] = blocks[a]
-    window = _row_mask(d)
-    cols[~window] = 0.0
-    span = range_basis(cols, d.tuple.tol, floor=1.0)
+    window = np.flatnonzero(row_mask(space, d.degree - 1)[::p])
+    cols = np.empty((window.size * p, window.size, dim), dtype=np.complex128)
+    for c, k in enumerate(space.exps[window]):
+        cols[:, c, :] = gather_blocks(space, offset_ranks(space, -k)[window], d.pi)
+    span = range_basis(cols.reshape(window.size * p, window.size * dim), d.tuple.tol, floor=1.0)
     # distance of each windowed coordinate vector via the actual residual
     # vector; 1 - ||row||^2 would lose half the digits to cancellation
-    targets = np.eye(space.dim, dtype=np.complex128)[:, window]
-    resid = targets - span.basis @ span.basis.conj().T[:, window]
-    distances = np.linalg.norm(resid, axis=0)
-    return float(distances.max(initial=0.0))
+    resid = np.eye(window.size * p, dtype=np.complex128) - span.basis @ span.basis.conj().T
+    return float(np.linalg.norm(resid, axis=0).max(initial=0.0))
 
 
 def model_equivalence_defect(d: DilationData) -> float:
     """max_i || pi^H M_i pi - T_i ||: compressions of shifts recover T."""
     worst = 0.0
     for i in range(d.tuple.n):
-        m = shift_matrix(d.space, i)
-        worst = max(worst, spec_norm(d.pi.conj().T @ m @ d.pi - d.tuple[i]))
+        compressed = shift_apply(d.space, i, d.pi, adjoint=True).conj().T @ d.pi
+        worst = max(worst, spec_norm(compressed - d.tuple[i]))
     return worst
 
 
@@ -217,15 +203,10 @@ def image_invariance_defect(d: DilationData) -> float:
     The image is a quotient module, so this should match the intertwining
     defect scale.
     """
-    from .linalg import containment_residual
-
     worst = 0.0
     for i in range(d.tuple.n):
-        m = shift_matrix(d.space, i)
-        moved = (m.conj().T @ d.image_basis.basis)
-        moved[~_row_mask(d, i)] = 0.0
-        clipped = d.image_basis.basis.copy()
-        clipped[~_row_mask(d, i)] = 0.0
-        target = range_basis(clipped, d.tuple.tol, floor=1.0)
+        below = _below_top(d, i)[:, None]
+        moved = shift_apply(d.space, i, d.image_basis.basis, adjoint=True) * below
+        target = range_basis(d.image_basis.basis * below, d.tuple.tol, floor=1.0)
         worst = max(worst, containment_residual(moved, target))
     return worst

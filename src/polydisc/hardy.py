@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,12 +56,22 @@ class HardySpace:
 
     Basis position of (k, r) is rank(k) * coeff_dim + r, with monomial
     ranks in graded lexicographic order.
+
+    ``exponents`` lists the monomials in rank order as tuples; ``exps`` is
+    the same list as a read-only integer array of shape (mono_count, n).
+    The flat index of k is its mixed-radix value sum_i k_i (N+1)^(n-1-i),
+    and ``rank_of`` maps flat index to rank.  A shift by z^beta is then the
+    index move k -> k + beta, and a window is a comparison of ``exps``
+    against per-variable caps.  Both arrays are built once by build_space
+    and take no part in equality.
     """
 
     n: int
     N: int
     coeff_dim: int
     exponents: tuple[tuple[int, ...], ...]
+    exps: np.ndarray = field(compare=False, repr=False)
+    rank_of: np.ndarray = field(compare=False, repr=False)
 
     @property
     def mono_count(self) -> int:
@@ -71,22 +81,13 @@ class HardySpace:
     def dim(self) -> int:
         return self.mono_count * self.coeff_dim
 
-    def rank(self, k) -> int:
-        return _rank_map(self.exponents)[tuple(k)]
+    def rank(self, k):
+        """Rank of exponent k, or of each row of an (m, n) array; ValueError outside the box."""
+        flat = np.ravel_multi_index(np.moveaxis(np.asarray(k), -1, 0), (self.N + 1,) * self.n)
+        return self.rank_of[flat]
 
-    def position(self, k, r: int) -> int:
+    def position(self, k, r: int):
         return self.rank(k) * self.coeff_dim + r
-
-
-_RANK_CACHE: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]] = {}
-
-
-def _rank_map(exponents):
-    cached = _RANK_CACHE.get(exponents)
-    if cached is None:
-        cached = {k: i for i, k in enumerate(exponents)}
-        _RANK_CACHE[exponents] = cached
-    return cached
 
 
 def build_space(n: int, N: int, coeff_dim: int, cap: int = DIMENSION_CAP) -> HardySpace:
@@ -96,20 +97,42 @@ def build_space(n: int, N: int, coeff_dim: int, cap: int = DIMENSION_CAP) -> Har
     dim = (N + 1) ** n * coeff_dim
     if dim > cap:
         raise DimensionOverflow(f"space dimension {dim} exceeds cap {cap}")
-    exps = sorted(itertools.product(range(N + 1), repeat=n), key=lambda k: (sum(k), k))
-    return HardySpace(n, N, coeff_dim, tuple(exps))
+    box = np.indices((N + 1,) * n).reshape(n, -1).T  # flat-index order, i.e. lexicographic
+    order = np.argsort(box.sum(axis=1), kind="stable")
+    exps, rank_of = box[order], np.argsort(order)
+    for arr in (exps, rank_of):
+        arr.setflags(write=False)
+    return HardySpace(n, N, coeff_dim, tuple(map(tuple, exps.tolist())), exps, rank_of)
+
+
+def offset_ranks(space: HardySpace, delta) -> np.ndarray:
+    """Rank of k + delta for every monomial k in rank order; -1 where it leaves the box."""
+    moved = space.exps + np.asarray(delta, dtype=space.exps.dtype)
+    inside = np.all((moved >= 0) & (moved <= space.N), axis=1)
+    return np.where(inside, space.rank(np.clip(moved, 0, space.N)), -1)
+
+
+def gather_blocks(space: HardySpace, src: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row gather on the space.dim rows of x: block a of the result is block
+    src[a] of x, or zero where src[a] = -1.  A block is the coeff_dim rows
+    of one monomial; the result has len(src) blocks."""
+    blocks = x.reshape(space.mono_count, space.coeff_dim, -1)
+    return np.concatenate([blocks, np.zeros_like(blocks[:1])])[src].reshape(-1, x.shape[1])
+
+
+def shift_apply(space: HardySpace, i: int, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """shift_matrix(space, i) @ x, or its adjoint times x, as a row gather: row k of
+    M_i x is row k - e_i of x, and row k of M_i^* x is row k + e_i of x."""
+    step = np.eye(space.n, dtype=space.exps.dtype)[i]
+    return gather_blocks(space, offset_ranks(space, step if adjoint else -step), x)
 
 
 def mono_shift(space: HardySpace, beta) -> np.ndarray:
     """Monomial-level multiplication by z^beta (top degrees drop off)."""
-    beta = tuple(int(b) for b in beta)
-    m = space.mono_count
-    out = np.zeros((m, m), dtype=np.complex128)
-    ranks = _rank_map(space.exponents)
-    for k in space.exponents:
-        target = tuple(ki + bi for ki, bi in zip(k, beta))
-        if all(t <= space.N for t in target):
-            out[ranks[target], ranks[k]] = 1.0
+    out = np.zeros((space.mono_count, space.mono_count), dtype=np.complex128)
+    target = offset_ranks(space, beta)
+    cols = np.flatnonzero(target >= 0)
+    out[target[cols], cols] = 1.0
     return out
 
 
@@ -117,8 +140,12 @@ def shift_matrix(space: HardySpace, i: int) -> np.ndarray:
     """Matrix of multiplication by z_i on the truncated space."""
     if not 0 <= i < space.n:
         raise BadIndex(f"variable index {i} out of range for n={space.n}")
-    beta = tuple(1 if j == i else 0 for j in range(space.n))
-    return np.kron(mono_shift(space, beta), np.eye(space.coeff_dim))
+    return np.kron(mono_shift(space, np.eye(space.n, dtype=int)[i]), np.eye(space.coeff_dim))
+
+
+def row_mask(space: HardySpace, caps) -> np.ndarray:
+    """Selector of the rows z^k e_r with every k_i <= caps[i]; caps is one int or n ints."""
+    return np.repeat(np.all(space.exps <= np.asarray(caps), axis=1), space.coeff_dim)
 
 
 @dataclass(frozen=True)
@@ -141,12 +168,7 @@ def window_mask(space: HardySpace, max_degree) -> WindowMask:
         caps = tuple(int(c) for c in max_degree)
         if len(caps) != space.n:
             raise BadIndex(f"expected {space.n} degree caps, got {len(caps)}")
-    diag = np.zeros(space.mono_count)
-    for idx, k in enumerate(space.exponents):
-        if all(ki <= ci for ki, ci in zip(k, caps)):
-            diag[idx] = 1.0
-    proj = np.kron(np.diag(diag), np.eye(space.coeff_dim))
-    return WindowMask(caps, proj.astype(np.complex128))
+    return WindowMask(caps, np.diag(row_mask(space, caps).astype(np.complex128)))
 
 
 def restriction_matrix(big: HardySpace, small: HardySpace) -> np.ndarray:
@@ -154,9 +176,8 @@ def restriction_matrix(big: HardySpace, small: HardySpace) -> np.ndarray:
     if big.n != small.n or big.coeff_dim != small.coeff_dim or small.N > big.N:
         raise IncompatibleDims("spaces are not nested")
     out = np.zeros((big.dim, small.dim), dtype=np.complex128)
-    for k in small.exponents:
-        for r in range(small.coeff_dim):
-            out[big.position(k, r), small.position(k, r)] = 1.0
+    rows = big.position(small.exps, 0)[:, None] + np.arange(small.coeff_dim)
+    out[rows.ravel(), np.arange(small.dim)] = 1.0
     return out
 
 
@@ -801,10 +822,7 @@ def structural_checks(
     residuals["joint_defect_gram_identity"] = spec_norm(big_mask @ (jd.matrix - gram) @ big_mask)
 
     # Minimality: overlap of the submodule with constant vectors of E*.
-    const_cols = np.zeros((space.dim, space.coeff_dim), dtype=np.complex128)
-    zero_exp = tuple(0 for _ in range(n))
-    for r in range(space.coeff_dim):
-        const_cols[space.position(zero_exp, r), r] = 1.0
+    const_cols = np.eye(space.dim, space.coeff_dim, dtype=np.complex128)  # z^0 has rank 0
     overlap = spec_norm(model.submodule_basis.basis.conj().T @ const_cols)
     if expect_minimal is None:
         expect_minimal = not _has_constant_block(model.symbol)

@@ -295,6 +295,8 @@ def _matrix_from_json(entries, dim, what) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.shape != (dim, dim, 2):
         raise ParseError(f"{what}: expected {dim}x{dim} entries of [re, im], got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{what}: entries must be finite numbers")
     return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
 
 

@@ -1,6 +1,8 @@
 """CLI behavior: report contents, exit codes, and determinism."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,3 +157,16 @@ def test_bad_grid_rejected(scalar_file):
     with pytest.raises(SystemExit) as exc:
         main(["classify", scalar_file, "--grid", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_classify_non_finite_entry(tmp_path, bad):
+    obj = tuple_to_json(validate([np.diag([0.5, 0.25])]))
+    obj["matrices"][0][1][0][0] = bad
+    path = write_json(tmp_path / "t.json", obj)  # json writes NaN / Infinity
+    proc = subprocess.run(
+        [sys.executable, "-m", "polydisc.cli", "classify", path],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "finite" in proc.stderr and "Traceback" not in proc.stderr

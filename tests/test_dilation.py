@@ -1,6 +1,10 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
+from polydisc.cli import main
 from polydisc.dilation import (
     build_dilation,
     image_invariance_defect,
@@ -10,9 +14,10 @@ from polydisc.dilation import (
     model_equivalence_defect,
     select_degree,
 )
-from polydisc.errors import NotPure, NotSzego
+from polydisc.errors import DimensionOverflow, NotPure, NotSzego
+from polydisc.linalg import range_basis
 from polydisc.sampling import random_nodes
-from polydisc.tuples import CTuple, szego_tuple_from_nodes, validate
+from polydisc.tuples import CTuple, szego_tuple_from_nodes, tuple_to_json, validate
 
 from .test_tuples import trunc_shift
 
@@ -130,3 +135,50 @@ def test_kernel_tuple_battery():
 def test_image_is_quotient_module():
     d = build_dilation(scalar_tuple(0.5))
     assert image_invariance_defect(d) <= 1e-10
+
+
+def full_box_minimality(d):
+    """Reference: the span of every shift z^k pi over the whole box, with
+    rows outside the window zeroed, on the full D x (mono dim) matrix."""
+    space, p, dim = d.space, d.space.coeff_dim, d.tuple.dim
+    ranks = {k: idx for idx, k in enumerate(space.exponents)}
+    blocks = d.pi.reshape(space.mono_count, p, dim)
+    cols = np.zeros((space.dim, space.mono_count * dim), dtype=np.complex128)
+    for b, k in enumerate(space.exponents):
+        for a, e in enumerate(space.exponents):
+            r = ranks.get(tuple(x + y for x, y in zip(e, k)))
+            if r is not None:
+                cols[r * p : (r + 1) * p, b * dim : (b + 1) * dim] = blocks[a]
+    window = np.repeat([max(k) <= d.degree - 1 for k in space.exponents], p)
+    cols[~window] = 0.0
+    span = range_basis(cols, d.tuple.tol, floor=1.0)
+    targets = np.eye(space.dim, dtype=np.complex128)[:, window]
+    resid = targets - span.basis @ span.basis.conj().T[:, window]
+    return float(np.linalg.norm(resid, axis=0).max(initial=0.0))
+
+
+def test_minimality_matches_full_box_span():
+    rng = np.random.default_rng(5)
+    tuples = [validate([np.diag([0.3, 0.5])])]  # coefficient rank p = 2
+    for k in range(6):  # the c10 recipe
+        nodes = random_nodes(rng, 2 + k % 3, 1 + k % 2, modulus_max=0.2, min_sep=0.08)
+        tuples.append(szego_tuple_from_nodes(nodes))
+    for t in tuples:
+        d = build_dilation(t)
+        assert abs(minimality_defect(d) - full_box_minimality(d)) <= 1e-13
+    assert build_dilation(tuples[0]).space.coeff_dim == 2
+
+
+def test_oversized_dilation_refused_before_allocation(tmp_path):
+    # degree 48 in three variables: D = 49^3 = 117,649 passes the space cap,
+    # but the minimality span would be (48^3) x (48^3 * 3) entries, 587 GB
+    nodes = np.array([[0.6, 0.2j, -0.1], [0.1, -0.5, 0.3j], [-0.3j, 0.25, 0.45]])
+    t = szego_tuple_from_nodes(nodes)
+    assert select_degree(t) == 48
+    with pytest.raises(DimensionOverflow):
+        build_dilation(t)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tuple_to_json(t)), encoding="utf-8")
+    start = time.monotonic()
+    assert main(["dilate", str(path)]) == 2
+    assert time.monotonic() - start < 1.0
