@@ -22,8 +22,8 @@ from .errors import (
     ShapeMismatch,
     SingularResolvent,
 )
-from .dilation import DilationData, coefficient_tail_sum
-from .hardy import blockdiag_symbol, charfn_symbol, row_mask, shift_apply, unitary_symbol
+from .dilation import DilationData, adjoint_powers, coefficient_tail_sum
+from .hardy import build_space, row_mask, shift_apply
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -37,17 +37,13 @@ from .tuples import CTuple, defect_first_kind, is_pure, validate
 RESOLVENT_COND_LIMIT = 1e12
 
 
-def _resolvent_lhs(t: CTuple, w: np.ndarray) -> list[np.ndarray]:
-    """The factors I - w_k T_k^*, gated on conditioning."""
-    eye = np.eye(t.dim, dtype=np.complex128)
-    out = []
-    for k in range(t.n):
-        f = eye - w[k] * t[k].conj().T
-        cond = float(np.linalg.cond(f))
-        if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
-            raise SingularResolvent(k, cond)
-        out.append(f)
-    return out
+def _resolvent_factor(t: CTuple, k: int, wk) -> np.ndarray:
+    """The factor I - w_k T_k^*, gated on conditioning."""
+    f = np.eye(t.dim, dtype=np.complex128) - wk * t[k].conj().T
+    cond = float(np.linalg.cond(f))
+    if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
+        raise SingularResolvent(k, cond)
+    return f
 
 
 def _point(t: CTuple, w) -> np.ndarray:
@@ -61,7 +57,7 @@ def _eval_core(t: CTuple, root: np.ndarray, w: np.ndarray, h_cols: np.ndarray) -
     """D_{T*} prod_k (I-w_k T_k^*)^{-1} sum_j (w_j - T_j) prod_{i!=j} (I-w_i T_i^*)
     applied to each column of h_cols (shape nd x m)."""
     d = t.dim
-    factors = _resolvent_lhs(t, w)
+    factors = [_resolvent_factor(t, k, w[k]) for k in range(t.n)]
     total = np.zeros((d, h_cols.shape[1]), dtype=np.complex128)
     for j in range(t.n):
         u = h_cols[j * d : (j + 1) * d]
@@ -106,25 +102,15 @@ def eval_onevar(t: CTuple, w) -> np.ndarray:
     root_star = psd_sqrt(sq_star, t.tol)
     basis = range_basis(sq, t.tol, floor=1.0)
     basis_star = range_basis(sq_star, t.tol, floor=1.0)
-    f = eye - w * mat.conj().T
-    cond = float(np.linalg.cond(f))
-    if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
-        raise SingularResolvent(0, cond)
+    f = _resolvent_factor(t, 0, w)
     core = -mat + w * root_star @ np.linalg.solve(f, root)
     return basis_star.basis.conj().T @ core @ basis.basis
 
 
 def _blaschke_apply(t: CTuple, outer: int, inner: int, z_outer, z_inner, h: np.ndarray) -> np.ndarray:
     """(I - z_outer T_outer^*)^{-1} b_{T_inner}(z_inner) (I - z_outer T_outer^*) h."""
-    eye = np.eye(t.dim, dtype=np.complex128)
-    f_out = eye - z_outer * t[outer].conj().T
-    cond = float(np.linalg.cond(f_out))
-    if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
-        raise SingularResolvent(outer, cond)
-    f_in = eye - z_inner * t[inner].conj().T
-    cond = float(np.linalg.cond(f_in))
-    if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
-        raise SingularResolvent(inner, cond)
+    f_out = _resolvent_factor(t, outer, z_outer)
+    f_in = _resolvent_factor(t, inner, z_inner)
     v = f_out @ h
     v = z_inner * v - t[inner] @ v
     v = np.linalg.solve(f_in, v)
@@ -227,14 +213,8 @@ def _formula_coefficient_blocks(t: CTuple, root: np.ndarray, n_deg: int) -> dict
     d, n = t.dim, t.n
     adjoints = [m.conj().T for m in t]
     box = list(itertools.product(range(n_deg + 1), repeat=n))
-    powers: dict[tuple, np.ndarray] = {}
-    for k in box:
-        if not any(k):
-            powers[k] = np.eye(d, dtype=np.complex128)
-            continue
-        i = next(j for j, kj in enumerate(k) if kj)
-        prev = tuple(kj - (1 if j == i else 0) for j, kj in enumerate(k))
-        powers[k] = adjoints[i] @ powers[prev]
+    space = build_space(n, n_deg, 1)
+    powers = dict(zip(space.exponents, adjoint_powers(t, space)))
 
     # finite part E_j: coefficient at delta (0/1 exponents) and delta + e_j
     finite: list[dict[tuple, np.ndarray]] = []
@@ -444,13 +424,3 @@ def alignment_probe(f1: CharFn, f2: CharFn, rng, tries: int = 50, points=None) -
         )
         best = min(best, worst)
     return best
-
-
-def inner_block_compose(f: CharFn, extra_dim: int):
-    """Theta_T padded with an identity block, as a hardy-module symbol."""
-    if extra_dim < 0:
-        raise BadIndex(f"extra_dim must be >= 0, got {extra_dim}")
-    core = charfn_symbol(f)
-    if extra_dim == 0:
-        return core
-    return blockdiag_symbol([core, unitary_symbol(f.n, np.eye(extra_dim))])

@@ -51,12 +51,13 @@ from .errors import (
 from .hardy import (
     ahern_clark_growth,
     build_space,
+    is_constant,
     quotient_model,
     structural_checks,
     symbol_from_json,
 )
 from .linalg import DEFAULT_TOL, Tolerances, spec_norm
-from .tuples import classify, is_beurling, tuple_from_json
+from .tuples import classify, complex_from_json, complex_to_json, is_beurling, tuple_from_json
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,6 @@ def _jsonable(obj):
     return obj
 
 
-def _mat_json(m) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -274,6 +270,28 @@ def _file_mask(args, window) -> np.ndarray | None:
     return window
 
 
+def _read_points(req, n: int, grid_pa: int) -> tuple[list[np.ndarray], int]:
+    """Points and grid size of a points file; every coordinate must lie in
+    the closed unit disc, and per_axis obeys the same minimum as --grid."""
+    if not isinstance(req, dict):
+        raise ParseError("points file must be a JSON object")
+    if "grid" in req:
+        grid = req["grid"]
+        if not isinstance(grid, dict):
+            raise ParseError("'grid' must be an object with a 'per_axis' field")
+        grid_pa = grid.get("per_axis", grid_pa)
+        if not isinstance(grid_pa, int) or isinstance(grid_pa, bool) or grid_pa < 4:
+            raise ParseError(f"grid 'per_axis' must be an integer >= 4, got {grid_pa!r}")
+    raw = req.get("points", [])
+    if not isinstance(raw, list):
+        raise ParseError("'points' must be a list")
+    points = [complex_from_json(p, (n,), f"point {i}") for i, p in enumerate(raw)]
+    for i, w in enumerate(points):
+        if np.max(np.abs(w)) > 1.0 + 1e-12:
+            raise ParseError(f"point {i} lies outside the closed polydisc")
+    return points, grid_pa
+
+
 def cmd_charfn(args) -> int:
     cfg = _config(args)
     started = time.monotonic()
@@ -287,20 +305,9 @@ def cmd_charfn(args) -> int:
         )
     f = build_charfn(t, build_defects(t, mask))
 
-    points = []
-    grid_pa = cfg.grid_per_axis
+    points, grid_pa = [], cfg.grid_per_axis
     if args.points_file is not None:
-        req = _load_json(args.points_file)
-        if not isinstance(req, dict):
-            raise ParseError("points file must be a JSON object")
-        if "grid" in req:
-            grid_pa = int(req["grid"].get("per_axis", grid_pa))
-        for raw in req.get("points", []):
-            arr = np.asarray(raw, dtype=float)
-            if arr.shape != (t.n, 2):
-                raise ParseError(f"each point needs {t.n} coordinates as [re, im]")
-            points.append(arr[:, 0] + 1j * arr[:, 1])
-
+        points, grid_pa = _read_points(_load_json(args.points_file), t.n, grid_pa)
     inner = inner_residual(f, torus_grid(t.n, grid_pa))
     sampled = default_points(t.n, seed=cfg.seed)
     max_norm = max(spec_norm(f.eval(w)) for w in list(sampled) + points)
@@ -315,7 +322,7 @@ def cmd_charfn(args) -> int:
             "inner_residual": inner,
             "max_sampled_norm": max_norm,
             "points": [
-                {"w": [[float(c.real), float(c.imag)] for c in w], "matrix": _mat_json(f.eval(w))}
+                {"w": complex_to_json(w), "matrix": complex_to_json(f.eval(w))}
                 for w in points
             ],
         },
@@ -335,7 +342,9 @@ def cmd_hardy(args) -> int:
     model = quotient_model(space, sym, cfg.tolerances, cfg.grid_per_axis, margin)
     rep = structural_checks(model, cfg.tolerances)
     degrees = list(range(2, max(degree, 6) + 1))
-    growth = ahern_clark_growth(sym, degrees)
+    growth = None
+    if sym.n >= 2 and not is_constant(sym):  # the symbols ahern_clark_growth covers
+        growth = {"degrees": degrees, "quotient_dims": ahern_clark_growth(sym, degrees)}
     report = {
         "structural_checks": {
             "residuals": _jsonable(rep.residuals),
@@ -350,7 +359,7 @@ def cmd_hardy(args) -> int:
             "tail_bound": _jsonable(model.tail_bound),
             "reach": _jsonable(model.reach),
         },
-        "growth": {"degrees": degrees, "quotient_dims": growth},
+        "growth": growth,
         "provenance": _provenance("hardy", cfg, started),
     }
     _emit(report, cfg)
@@ -387,10 +396,9 @@ def cmd_coincide(args) -> int:
     obj = _load_json(args.unitary_file)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("unitary file must be an object with a 'matrix' field")
-    arr = np.asarray(obj["matrix"], dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
+    sigma = complex_from_json(obj["matrix"], (None, None), "unitary 'matrix'")
+    if sigma.shape[0] != sigma.shape[1]:
         raise ParseError("unitary 'matrix' must be square with [re, im] entries")
-    sigma = arr[..., 0] + 1j * arr[..., 1]
     mask = _file_mask(args, window)
     pts = default_points(t.n, seed=cfg.seed)
     s, co = coincidence_from_unitary(t, sigma, mask=mask, points=pts)
@@ -399,8 +407,8 @@ def cmd_coincide(args) -> int:
             "residual": co.residual,
             "input_dim": co.tau.shape[0],
             "output_dim": co.tau_star.shape[0],
-            "tau": _mat_json(co.tau),
-            "tau_star": _mat_json(co.tau_star),
+            "tau": complex_to_json(co.tau),
+            "tau_star": complex_to_json(co.tau_star),
         },
         "provenance": _provenance("coincide", cfg, started),
     }
@@ -437,6 +445,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        print(f"polydisc {args.command}: linear algebra failed: {exc}", file=sys.stderr)
+        return 2
     except PolydiscError as exc:
         for klass, code in _GATES.get(args.command, ()):
             if isinstance(exc, klass):

@@ -22,7 +22,7 @@ from math import ceil, log
 
 import numpy as np
 
-from .errors import BadIndex, NotAvailable, NotPSD, NotSzego, ShapeMismatch
+from .errors import BadIndex, NotPSD, NotSzego, ShapeMismatch
 from .linalg import (
     Subspace,
     as_complex,
@@ -262,31 +262,3 @@ def build_defects(t: CTuple, mask=None) -> DefectPackage:
         commutator_defect_sq=comm_sq,
         commutator_min_eig=comm_min,
     )
-
-
-def embed_joint_defect(pkg: DefectPackage) -> tuple[Subspace, float]:
-    """Flatten the joint defect space into C^d by summing block components.
-
-    Valid as an isometry exactly when the truncated defect spaces are
-    pairwise orthogonal; the reported residual is the worst product norm
-    ||D_{i,T} D_{j,T}|| (mask applied upstream), so callers can judge.
-    """
-    if pkg.joint.space is None:
-        raise NotAvailable("joint defect is not PSD; no defect space to embed")
-    t = pkg.tuple
-    d = t.dim
-    basis = pkg.joint.space.basis
-    flattened = np.zeros((d, basis.shape[1]), dtype=np.complex128)
-    for j in range(t.n):
-        flattened += basis[j * d : (j + 1) * d, :]
-    roots = []
-    for i in range(t.n):
-        block = pkg.truncated[(i, frozenset(range(t.n)) - {i})]
-        try:
-            roots.append(psd_sqrt(block, t.tol))
-        except NotPSD as exc:
-            raise NotAvailable(f"truncated defect {i} is not PSD: {exc}") from exc
-    worst = 0.0
-    for i, j in itertools.combinations(range(t.n), 2):
-        worst = max(worst, spec_norm(roots[i] @ roots[j]))
-    return range_basis(flattened, t.tol, floor=1.0), worst

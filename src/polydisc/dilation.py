@@ -98,6 +98,22 @@ def _tail_bound(t: CTuple, n_deg: int, defect_norm: float) -> float:
     return defect_norm * coefficient_tail_sum(t, n_deg)
 
 
+def adjoint_powers(t: CTuple, space: HardySpace) -> np.ndarray:
+    """T^{*k} for every monomial k of ``space``, in rank order: shape (mono, d, d).
+
+    Rank 0 is z^0; T^{*k} = T_i^* T^{*(k - e_i)} with i the first nonzero
+    variable of k, and k - e_i has lower total degree, so a lower rank.
+    """
+    adjoints = [m.conj().T for m in t]
+    first = np.argmax(space.exps > 0, axis=1)
+    prev = space.rank(np.maximum(space.exps - np.eye(t.n, dtype=int)[first], 0))
+    powers = np.empty((space.mono_count, t.dim, t.dim), dtype=np.complex128)
+    powers[0] = np.eye(t.dim)
+    for a in range(1, space.mono_count):
+        powers[a] = adjoints[first[a]] @ powers[prev[a]]
+    return powers
+
+
 def build_dilation(t: CTuple, degree: int | None = None) -> DilationData:
     """Assemble the dilation of a pure Szego tuple at truncation degree N.
 
@@ -120,16 +136,7 @@ def build_dilation(t: CTuple, degree: int | None = None) -> DilationData:
                                 f"minimality span; budget {SPAN_BYTE_BUDGET / 2**20:.0f} MiB")
     space = build_space(t.n, n_deg, basis.dim)
 
-    adjoints = [m.conj().T for m in t]
-    # rank 0 is z^0; T^{*k} = T_i^* T^{*(k - e_i)} with i the first nonzero
-    # variable of k, and k - e_i has lower total degree, so a lower rank
-    first = np.argmax(space.exps > 0, axis=1)
-    prev = space.rank(np.maximum(space.exps - np.eye(t.n, dtype=int)[first], 0))
-    powers = np.empty((space.mono_count, t.dim, t.dim), dtype=np.complex128)
-    powers[0] = np.eye(t.dim)
-    for a in range(1, space.mono_count):
-        powers[a] = adjoints[first[a]] @ powers[prev[a]]
-    coeffs = root @ powers
+    coeffs = root @ adjoint_powers(t, space)
     coeff_map = dict(zip(space.exponents, coeffs))
     pi = (basis.basis.conj().T @ coeffs).reshape(space.dim, t.dim)
 

@@ -122,9 +122,5 @@ class NotUnitary(PolydiscError):
     """Raised when a matrix expected to be unitary is not."""
 
 
-class NotAvailable(PolydiscError):
-    """Raised when a dependent object (e.g. a PSD root) was not computable."""
-
-
 class ParseError(PolydiscError):
     """Raised for malformed or schema-violating input files."""

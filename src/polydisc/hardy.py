@@ -11,8 +11,11 @@ counterparts.  Everything the structural checks assert is evaluated
 through that window.
 
 Basis ordering is graded lexicographic in the exponents, then coefficient
-index, so operators factor as kron(monomial-level matrix, coefficient
-matrix) and every report is bit-stable.
+index, so a vector is a stack of coefficient blocks, one per monomial, and
+every report is bit-stable.  No shift or window is stored as a matrix: the
+shift M_{z_i} and its adjoint act as row gathers of those blocks
+(shift_apply), a product x M_i as the same gather on x^T, and a window as a
+boolean row mask (row_mask) that zeroes or selects rows.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .linalg import (
     range_basis,
     spec_norm,
 )
-from .tuples import CTuple, classical_defect_sq, validate
+from .tuples import CTuple, classical_defect_sq, complex_from_json, complex_to_json, validate
 
 DIMENSION_CAP = 10**6
 
@@ -63,7 +66,8 @@ class HardySpace:
     and ``rank_of`` maps flat index to rank.  A shift by z^beta is then the
     index move k -> k + beta, and a window is a comparison of ``exps``
     against per-variable caps.  Both arrays are built once by build_space
-    and take no part in equality.
+    and take no part in equality.  Operators are applied through these
+    index moves (shift_apply, row_mask), never built as D x D matrices.
     """
 
     n: int
@@ -116,69 +120,24 @@ def gather_blocks(space: HardySpace, src: np.ndarray, x: np.ndarray) -> np.ndarr
     """Row gather on the space.dim rows of x: block a of the result is block
     src[a] of x, or zero where src[a] = -1.  A block is the coeff_dim rows
     of one monomial; the result has len(src) blocks."""
-    blocks = x.reshape(space.mono_count, space.coeff_dim, -1)
-    return np.concatenate([blocks, np.zeros_like(blocks[:1])])[src].reshape(-1, x.shape[1])
+    blocks = x.reshape(space.mono_count, space.coeff_dim, x.shape[1])
+    return np.concatenate([blocks, np.zeros_like(blocks[:1])])[src].reshape(len(src) * space.coeff_dim, x.shape[1])
 
 
 def shift_apply(space: HardySpace, i: int, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """shift_matrix(space, i) @ x, or its adjoint times x, as a row gather: row k of
-    M_i x is row k - e_i of x, and row k of M_i^* x is row k + e_i of x."""
-    step = np.eye(space.n, dtype=space.exps.dtype)[i]
-    return gather_blocks(space, offset_ranks(space, step if adjoint else -step), x)
-
-
-def mono_shift(space: HardySpace, beta) -> np.ndarray:
-    """Monomial-level multiplication by z^beta (top degrees drop off)."""
-    out = np.zeros((space.mono_count, space.mono_count), dtype=np.complex128)
-    target = offset_ranks(space, beta)
-    cols = np.flatnonzero(target >= 0)
-    out[target[cols], cols] = 1.0
-    return out
-
-
-def shift_matrix(space: HardySpace, i: int) -> np.ndarray:
-    """Matrix of multiplication by z_i on the truncated space."""
+    """M_{z_i} x, or M_{z_i}^* x, as a row gather: row k of M_i x is row
+    k - e_i of x (zero when k_i = 0), and row k of M_i^* x is row k + e_i of x
+    (zero when k_i = N).  Since M_i is a real 0/1 matrix, x M_i is
+    shift_apply(space, i, x.T, adjoint=True).T."""
     if not 0 <= i < space.n:
         raise BadIndex(f"variable index {i} out of range for n={space.n}")
-    return np.kron(mono_shift(space, np.eye(space.n, dtype=int)[i]), np.eye(space.coeff_dim))
+    step = np.eye(space.n, dtype=space.exps.dtype)[i]
+    return gather_blocks(space, offset_ranks(space, step if adjoint else -step), x)
 
 
 def row_mask(space: HardySpace, caps) -> np.ndarray:
     """Selector of the rows z^k e_r with every k_i <= caps[i]; caps is one int or n ints."""
     return np.repeat(np.all(space.exps <= np.asarray(caps), axis=1), space.coeff_dim)
-
-
-@dataclass(frozen=True)
-class WindowMask:
-    """Projection onto monomials with k_i <= max_degree[i] for every i."""
-
-    max_degree: tuple[int, ...]
-    projection: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(round(float(np.trace(self.projection).real)))
-
-
-def window_mask(space: HardySpace, max_degree) -> WindowMask:
-    """Build the window projector; negative caps give the zero projector."""
-    if np.isscalar(max_degree):
-        caps = tuple(int(max_degree) for _ in range(space.n))
-    else:
-        caps = tuple(int(c) for c in max_degree)
-        if len(caps) != space.n:
-            raise BadIndex(f"expected {space.n} degree caps, got {len(caps)}")
-    return WindowMask(caps, np.diag(row_mask(space, caps).astype(np.complex128)))
-
-
-def restriction_matrix(big: HardySpace, small: HardySpace) -> np.ndarray:
-    """Isometric inclusion of a lower-degree truncation into a higher one."""
-    if big.n != small.n or big.coeff_dim != small.coeff_dim or small.N > big.N:
-        raise IncompatibleDims("spaces are not nested")
-    out = np.zeros((big.dim, small.dim), dtype=np.complex128)
-    rows = big.position(small.exps, 0)[:, None] + np.arange(small.coeff_dim)
-    out[rows.ravel(), np.arange(small.dim)] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +286,6 @@ def reach_vector(sym: InnerSymbol) -> tuple[float, ...]:
     raise ParseError(f"unknown symbol kind {sym.kind!r}")
 
 
-def is_graded(sym: InnerSymbol) -> bool:
-    return all(math.isfinite(r) for r in reach_vector(sym))
-
-
 def is_constant(sym: InnerSymbol) -> bool:
     return all(r == 0 for r in reach_vector(sym))
 
@@ -436,10 +391,13 @@ def symbol_matrix(space: HardySpace, sym: InnerSymbol) -> tuple[np.ndarray, tupl
             f"space coeff_dim {space.coeff_dim} != symbol output_dim {sym.output_dim}"
         )
     coeffs, _, tail = symbol_taylor(sym, space.n, space.N)
-    out = np.zeros((space.mono_count * sym.output_dim, space.mono_count * sym.input_dim), dtype=np.complex128)
+    out = np.zeros((space.mono_count, sym.output_dim, space.mono_count, sym.input_dim), dtype=np.complex128)
     for beta, block in coeffs.items():
-        out += np.kron(mono_shift(space, beta), block)
-    return out, reach_vector(sym), tail
+        # the coefficient block maps the z^k slots to the z^(k + beta) slots
+        target = offset_ranks(space, beta)
+        cols = np.flatnonzero(target >= 0)
+        out[target[cols], :, cols, :] = block
+    return out.reshape(space.dim, -1), reach_vector(sym), tail
 
 
 def inner_residual_symbol(sym: InnerSymbol, grid_per_axis: int = 32) -> tuple[float, tuple]:
@@ -473,13 +431,13 @@ def symbol_to_json(sym: InnerSymbol) -> dict:
             "kind": "blaschke1",
             "n": sym.n,
             "variable": sym.variable,
-            "zeros": [[z.real, z.imag] for z in sym.zeros],
+            "zeros": complex_to_json(sym.zeros),
         }
     if sym.kind == "unitary":
         return {
             "kind": "unitary",
             "n": sym.n,
-            "matrix": [[[v.real, v.imag] for v in row] for row in sym.matrix],
+            "matrix": complex_to_json(sym.matrix),
         }
     if sym.kind in ("blockdiag", "product"):
         return {"kind": sym.kind, "n": sym.n, "children": [symbol_to_json(c) for c in sym.children]}
@@ -495,11 +453,10 @@ def symbol_from_json(obj) -> InnerSymbol:
         if kind == "monomial":
             return monomial_symbol(n, obj["exponent"])
         if kind == "blaschke1":
-            zeros = [complex(re, im) for re, im in obj["zeros"]]
+            zeros = complex_from_json(obj["zeros"], (None,), "blaschke1 zeros")
             return blaschke_symbol(n, int(obj["variable"]), zeros)
         if kind == "unitary":
-            arr = np.asarray(obj["matrix"], dtype=float)
-            return unitary_symbol(n, arr[..., 0] + 1j * arr[..., 1])
+            return unitary_symbol(n, complex_from_json(obj["matrix"], (None, None), "unitary matrix"))
         if kind == "blockdiag":
             return blockdiag_symbol([symbol_from_json(c) for c in obj["children"]])
         if kind == "product":
@@ -523,7 +480,7 @@ class QuotientModel:
     submodule_basis: Subspace
     quotient_basis: Subspace
     model_ops: tuple[np.ndarray, ...]
-    exact_window: WindowMask
+    exact_window: tuple[int, ...]  # per-variable degree caps, for row_mask
     reach: tuple[float, ...]
     tail_bound: float
 
@@ -551,14 +508,13 @@ def quotient_model(
     sub = range_basis(mat, tol)
     quot = null_space(mat.conj().T, tol)
     ops = tuple(
-        quot.basis.conj().T @ shift_matrix(space, i) @ quot.basis for i in range(space.n)
+        shift_apply(space, i, quot.basis, adjoint=True).conj().T @ quot.basis for i in range(space.n)
     )
     caps = []
     for r in reach:
         eff = window_margin if not math.isfinite(r) else max(int(r), window_margin)
         caps.append(space.N - eff)
-    window = window_mask(space, caps)
-    return QuotientModel(space, sym, mat, sub, quot, ops, window, reach, tail)
+    return QuotientModel(space, sym, mat, sub, quot, ops, tuple(caps), reach, tail)
 
 
 def model_tuple(model: QuotientModel, tol: Tolerances = DEFAULT_TOL) -> CTuple:
@@ -578,10 +534,9 @@ def quotient_mask(model: QuotientModel, shrink: int = 0) -> np.ndarray:
     the transported matrix is an exact orthogonal projection (window and
     quotient are both monomial-coordinate subspaces); this is asserted.
     """
-    caps = tuple(c - shrink for c in model.exact_window.max_degree)
-    amb = window_mask(model.space, caps).projection
+    keep = row_mask(model.space, tuple(c - shrink for c in model.exact_window))
     q = model.quotient_basis.basis
-    mask = q.conj().T @ amb @ q
+    mask = (q.conj().T * keep) @ q
     if spec_norm(mask @ mask - mask) > 1e-10:
         raise PolydiscError(
             "window does not project cleanly to quotient coordinates "
@@ -600,18 +555,19 @@ def wandering_subspace(model: QuotientModel, p, tol: Tolerances = DEFAULT_TOL) -
     s_basis = model.submodule_basis.basis
     pieces = [model.submodule_basis]
     for i in pset:
-        shifted = shift_matrix(model.space, i) @ s_basis
+        shifted = shift_apply(model.space, i, s_basis)
         pieces.append(null_space(shifted.conj().T, tol))
     return intersect_subspaces(pieces, tol)
 
 
-def masked_span(vectors, mask: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Range basis of masked columns (the windowed span of the vectors).
+def masked_span(vectors, keep: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+    """Range basis of the columns with the rows outside ``keep`` zeroed (the
+    windowed span of the vectors); ``keep`` is a boolean row mask.
 
     The rank cut is floored at scale 1 so that columns whose windowed part
     is pure roundoff do not promote the span.
     """
-    return range_basis(mask @ np.atleast_2d(as_complex(vectors)), tol, floor=1.0)
+    return range_basis(np.atleast_2d(as_complex(vectors)) * keep[:, None], tol, floor=1.0)
 
 
 @dataclass(frozen=True)
@@ -655,22 +611,28 @@ def structural_checks(
     s_proj = model.submodule_basis.projector()
     q_proj = model.quotient_basis.projector()
     eye_amb = np.eye(space.dim)
-    shifts = [shift_matrix(space, i) for i in range(n)]
     mask1 = quotient_mask(model, 1)
     mask2 = quotient_mask(model, 2)
-    amb_mask0 = window_mask(space, model.exact_window.max_degree).projection
-    amb_mask1 = window_mask(space, tuple(c - 1 for c in model.exact_window.max_degree)).projection
+    keep0 = row_mask(space, model.exact_window)
+    keep1 = row_mask(space, tuple(c - 1 for c in model.exact_window))
+    # (M_i Q)^H = Q^H M_i^*, copied row-major: BLAS picks its summation order
+    # from the layout, and the residuals' last bits depend on that order
+    q_shifted_h = [np.ascontiguousarray(shift_apply(space, i, q).conj().T) for i in range(n)]
+
+    def right_shift(x, i, adjoint=False):
+        """x M_i, or x M_i^*, as a column gather."""
+        return shift_apply(space, i, x.T, adjoint=not adjoint).T
 
     residuals: dict[str, float] = {}
     dims: dict[str, int] = {"quotient": model.quotient_dim}
 
     # Invariance of the two halves under the (adjoint) shifts.
     residuals["submodule_invariant"] = max(
-        spec_norm(amb_mask1 @ (eye_amb - s_proj) @ shifts[i] @ s_proj @ amb_mask0)
+        spec_norm((right_shift((eye_amb - s_proj) * keep1[:, None], i) @ s_proj) * keep0)
         for i in range(n)
     )
     residuals["quotient_coinvariant"] = max(
-        spec_norm(amb_mask1 @ (eye_amb - q_proj) @ shifts[i].conj().T @ q_proj @ amb_mask0)
+        spec_norm((right_shift((eye_amb - q_proj) * keep1[:, None], i, adjoint=True) @ q_proj) * keep0)
         for i in range(n)
     )
 
@@ -687,7 +649,7 @@ def structural_checks(
     residuals["defect_formula"] = max(
         spec_norm(
             mask1
-            @ (classical_defect_sq(t[i]) - q.conj().T @ shifts[i].conj().T @ s_proj @ shifts[i] @ q)
+            @ (classical_defect_sq(t[i]) - right_shift(q_shifted_h[i] @ s_proj, i) @ q)
             @ mask1
         )
         for i in range(n)
@@ -700,7 +662,7 @@ def structural_checks(
                 mask1
                 @ (
                     (t[j] @ t[i].conj().T - t[i].conj().T @ t[j])
-                    - q.conj().T @ shifts[i].conj().T @ s_proj @ shifts[j] @ q
+                    - right_shift(q_shifted_h[i] @ s_proj, j) @ q
                 )
                 @ mask1
             )
@@ -749,8 +711,8 @@ def structural_checks(
     theta_cols = model.symbol_mat[:, : model.symbol.input_dim]  # degree-0 inputs
     fs_formula = 0.0
     for j in range(n):
-        pulled = q.conj().T @ shifts[j].conj().T @ theta_cols
-        lhs = masked_span(mask1 @ pulled, mask1, tol)
+        pulled = q_shifted_h[j] @ theta_cols
+        lhs = range_basis(mask1 @ (mask1 @ pulled), tol, floor=1.0)  # windowed span of windowed columns
         rhs = range_basis(mask1 @ full_truncated_defect(t, j) @ mask1, tol, floor=1.0)
         fs_formula = max(fs_formula, projector_residual(lhs, rhs))
     residuals["truncated_defect_space_formula"] = fs_formula
@@ -762,10 +724,10 @@ def structural_checks(
     # erase generators whose degree equals the symbol reach.
     full_set = list(range(n))
     w_full = wandering_subspace(model, full_set, tol)
-    w_masked = masked_span(w_full.basis, amb_mask0, tol)
+    w_masked = masked_span(w_full.basis, keep0, tol)
     dims["wandering"] = w_masked.dim
 
-    theta_span = masked_span(theta_cols, amb_mask0, tol)
+    theta_span = masked_span(theta_cols, keep0, tol)
     residuals["wandering_equals_theta"] = projector_residual(w_masked, theta_span)
 
     wl_invar = 0.0
@@ -776,19 +738,19 @@ def structural_checks(
             for j in range(n):
                 if j in pset:
                     continue
-                shifted = amb_mask1 @ shifts[j] @ wp.basis
+                shifted = shift_apply(space, j, wp.basis) * keep1[:, None]
                 wl_invar = max(
                     wl_invar,
-                    containment_residual(shifted, masked_span(wp.basis, amb_mask0, tol)),
+                    containment_residual(shifted, masked_span(wp.basis, keep0, tol)),
                 )
                 bigger = wandering_subspace(model, pset + (j,), tol)
-                inside = masked_span(wp.basis, amb_mask1, tol)
-                z_wp = masked_span(shift_matrix(space, j) @ wp.basis, amb_mask1, tol)
+                inside = masked_span(wp.basis, keep1, tol)
+                z_wp = masked_span(shift_apply(space, j, wp.basis), keep1, tol)
                 complement_cols = (np.eye(space.dim) - z_wp.projector()) @ inside.basis
-                split = masked_span(complement_cols, amb_mask1, tol)
+                split = masked_span(complement_cols, keep1, tol)
                 wl_split = max(
                     wl_split,
-                    projector_residual(split, masked_span(bigger.basis, amb_mask1, tol)),
+                    projector_residual(split, masked_span(bigger.basis, keep1, tol)),
                 )
     residuals["wandering_shift_invariance"] = wl_invar
     residuals["wandering_splitting"] = wl_split
@@ -799,26 +761,28 @@ def structural_checks(
     if n >= 2:
         for j in range(n):
             rest = tuple(i for i in range(n) if i != j)
-            wjc = masked_span(wandering_subspace(model, rest, tol).basis, amb_mask0, tol)
-            diff = (w_masked.projector() - wjc.projector()) @ amb_mask0 @ shifts[j] @ q
+            wjc = masked_span(wandering_subspace(model, rest, tol).basis, keep0, tol)
+            diff = right_shift((w_masked.projector() - wjc.projector()) * keep0, j) @ q
             wj_res = max(wj_res, spec_norm(diff))
     residuals["wandering_projection_agreement"] = wj_res
 
     # Effective wandering subspace: the part reached from the quotient.
-    reached = np.hstack([w_masked.projector() @ amb_mask0 @ shifts[j] @ q for j in range(n)])
+    reached = np.hstack([right_shift(w_masked.projector() * keep0, j) @ q for j in range(n)])
     w_eff = range_basis(reached, tol, floor=1.0)
     dims["wandering_effective"] = w_eff.dim
 
     # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q.
     jd = joint_defect(t, mask=mask1)
     dims["joint_defect"] = range_basis(jd.matrix, tol, floor=1.0).dim
-    x_cols = [w_masked.basis.conj().T @ amb_mask0 @ shifts[j] @ q for j in range(n)]
+    x_cols = [right_shift(w_masked.basis.conj().T * keep0, j) @ q for j in range(n)]
     qd = model.quotient_dim
     gram = np.zeros((n * qd, n * qd), dtype=np.complex128)
     for i in range(n):
         for j in range(n):
             gram[i * qd : (i + 1) * qd, j * qd : (j + 1) * qd] = x_cols[i].conj().T @ x_cols[j]
-    big_mask = np.kron(np.eye(n), mask1)
+    big_mask = np.zeros_like(gram)
+    for i in range(n):
+        big_mask[i * qd : (i + 1) * qd, i * qd : (i + 1) * qd] = mask1
     residuals["joint_defect_gram_identity"] = spec_norm(big_mask @ (jd.matrix - gram) @ big_mask)
 
     # Minimality: overlap of the submodule with constant vectors of E*.

@@ -234,13 +234,3 @@ def intersect_subspaces(spaces: list[Subspace], tol: Tolerances = DEFAULT_TOL) -
     vals, vecs = herm_eig(acc, tol)
     keep = vals < tol.tol_rank * max(float(vals[0]) if vals.size else 0.0, 1.0)
     return Subspace(ambient, phase_fix(vecs[:, keep]))
-
-
-def ortho_complement_within(space: Subspace, sub: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthogonal complement of ``sub`` inside ``space`` (both in the ambient)."""
-    if space.ambient_dim != sub.ambient_dim:
-        raise ShapeMismatch("ambient dimensions differ")
-    diff = space.projector() - sub.projector()
-    vals, vecs = herm_eig(diff, tol)
-    keep = vals > 1.0 - 1e-8
-    return Subspace(space.ambient_dim, phase_fix(vecs[:, keep]))

@@ -279,25 +279,41 @@ def szego_tuple_from_nodes(points, tol: Tolerances = DEFAULT_TOL) -> CTuple:
     return validate(mats, tol)
 
 
-def tuple_to_json(t: CTuple) -> dict:
-    """Serializable form: matrices as nested lists of [re, im] entries."""
-    return {
-        "n": t.n,
-        "dim": t.dim,
-        "matrices": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in m]
-            for m in t.matrices
-        ],
-    }
+def complex_to_json(a) -> list:
+    """Nested lists with every complex entry written as [re, im]."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _matrix_from_json(entries, dim, what) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.shape != (dim, dim, 2):
-        raise ParseError(f"{what}: expected {dim}x{dim} entries of [re, im], got shape {arr.shape}")
+def complex_from_json(entries, shape, what: str) -> np.ndarray:
+    """Read nested [re, im] pairs back into a complex array.
+
+    ``shape`` is the expected shape without the trailing pair axis; None
+    leaves an axis free.  Raises ParseError unless every entry is a finite
+    JSON number and the nesting has that shape.
+    """
+    if isinstance(entries, list) and not entries and shape[0] is None and len(shape) == 1:
+        return np.zeros(0, dtype=np.complex128)
+    arr = np.asarray(entries, dtype=object)
+    if arr.ndim != len(shape) + 1 or arr.shape[-1] != 2 or any(
+        want is not None and got != want for got, want in zip(arr.shape, shape)
+    ):
+        want = "x".join("k" if w is None else str(w) for w in shape)
+        raise ParseError(f"{what}: expected {want} entries of [re, im], got shape {arr.shape}")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in arr.flat):
+        raise ParseError(f"{what}: entries must be numbers")
+    try:
+        arr = arr.astype(float)
+    except OverflowError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{what}: entries must be finite numbers")
-    return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def tuple_to_json(t: CTuple) -> dict:
+    """Serializable form: matrices as nested lists of [re, im] entries."""
+    return {"n": t.n, "dim": t.dim, "matrices": [complex_to_json(m) for m in t.matrices]}
 
 
 def tuple_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[CTuple, np.ndarray | None]:
@@ -317,8 +333,8 @@ def tuple_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[CTuple, np.ndar
         raise ParseError("fields 'n' and 'dim' must be positive integers")
     if len(obj["matrices"]) != n:
         raise ParseError(f"expected {n} matrices, got {len(obj['matrices'])}")
-    mats = [_matrix_from_json(m, dim, f"matrix {i}") for i, m in enumerate(obj["matrices"])]
+    mats = [complex_from_json(m, (dim, dim), f"matrix {i}") for i, m in enumerate(obj["matrices"])]
     window = None
     if "window" in obj:
-        window = _matrix_from_json(obj["window"], dim, "window")
+        window = complex_from_json(obj["window"], (dim, dim), "window")
     return validate(mats, tol), window

@@ -14,7 +14,6 @@ from polydisc.charfn import (
     eval_onevar,
     eval_pair_blaschke,
     eval_raw,
-    inner_block_compose,
     inner_residual,
     torus_grid,
 )
@@ -30,8 +29,7 @@ from polydisc.errors import (
 )
 from polydisc.hardy import (
     build_space,
-    eval_symbol,
-    inner_residual_symbol,
+    charfn_symbol,
     model_tuple,
     monomial_symbol,
     quotient_mask,
@@ -323,33 +321,13 @@ def test_alignment_probe_separates_distinct_nodes():
     assert alignment_probe(f1, f3, rng) == np.inf
 
 
-def test_inner_block_compose():
-    f = build_charfn(scalar(0.5))
-    same = inner_block_compose(f, 0)
-    worst, _ = inner_residual_symbol(same, 32)
-    assert worst < 1e-10
-    padded = inner_block_compose(f, 1)
-    assert padded.input_dim == 2 and padded.output_dim == 2
-    w = np.array([0.3 + 0.1j])
-    m = eval_symbol(padded, w)
-    assert abs(m[0, 0] - blaschke(0.5, w[0])) < 1e-13
-    assert abs(m[1, 1] - 1) < 1e-15 and abs(m[0, 1]) < 1e-15
-
-    t, mask = masked_zero_shift_pair(5)
-    fm = build_charfn(t, build_defects(t, mask))
-    wide = inner_block_compose(fm, 2)
-    w2 = np.array([0.2 - 0.3j, 0.6])
-    m2 = eval_symbol(wide, w2)
-    assert np.allclose(m2, np.diag([w2[0], 1.0, 1.0]), atol=1e-13)
-
-
 def test_charfn_symbol_round_trip_one_zero():
     # model built from the Blaschke charfn of [a] recovers [a] itself
     # the truncated multiplication operator only develops a numerical
     # cokernel once a^N falls below the rank cut, hence the tall space
     a = 0.3
     f = build_charfn(scalar(a))
-    sym = inner_block_compose(f, 0)
+    sym = charfn_symbol(f)
     space = build_space(1, 20, 1)
     model = quotient_model(space, sym, DEFAULT_TOL)
     assert model.quotient_dim == 1

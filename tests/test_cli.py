@@ -170,3 +170,55 @@ def test_classify_non_finite_entry(tmp_path, bad):
     )
     assert proc.returncode == 2, proc.stderr
     assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _points(*points, per_axis=8):
+    return {"points": [list(p) for p in points], "grid": {"per_axis": per_axis}}
+
+
+NAN = float("nan")
+MALFORMED = {
+    "coincide-unitary-nan": ("coincide", {"matrix": [[[NAN, 0.0]]]}),
+    "coincide-unitary-string": ("coincide", {"matrix": [[["a", 0.0]]]}),
+    "coincide-unitary-huge": ("coincide", {"matrix": [[[1e200, 0.0]]]}),
+    "charfn-point-nan": ("charfn", _points([[NAN, 0.0]])),
+    "charfn-point-string": ("charfn", _points([["x", 0.0]])),
+    "charfn-point-outside": ("charfn", _points([[1.5, 0.0]])),
+    "charfn-grid-not-object": ("charfn", {"points": [], "grid": 5}),
+    "charfn-grid-too-small": ("charfn", _points(per_axis=1)),
+    "charfn-window-huge": ("charfn-window", [[[1e200, 0.0]]]),
+    "hardy-blaschke-zero-nan": ("hardy", {"kind": "blaschke1", "n": 1, "variable": 0, "zeros": [[NAN, 0.0]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, case):
+    command, payload = MALFORMED[case]
+    tuple_obj = tuple_to_json(validate([np.array([[0.5]])]))
+    if command == "charfn-window":
+        tuple_obj["window"] = payload
+    path = write_json(tmp_path / "t.json", tuple_obj)
+    data = write_json(tmp_path / "d.json", payload)  # json writes NaN
+    argv = {
+        "coincide": ["coincide", path, data],
+        "charfn": ["charfn", path, data],
+        "charfn-window": ["charfn", path, "--window", "0"],
+        "hardy": ["hardy", data],
+    }[command]
+    proc = subprocess.run([sys.executable, "-m", "polydisc.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [{"kind": "monomial", "n": 1, "exponent": [2]}, {"kind": "unitary", "n": 2, "matrix": [[[1, 0]]]}],
+    ids=["one-variable", "constant"],
+)
+def test_hardy_growth_null_outside_its_range(tmp_path, symbol):
+    path = write_json(tmp_path / "s.json", symbol)
+    out = tmp_path / "r.json"
+    assert main(["hardy", path, "--out", str(out)]) == 0
+    rep = read(out)
+    assert rep["growth"] is None
+    assert rep["structural_checks"]["passed"]

@@ -8,14 +8,13 @@ from polydisc.defects import (
     commutator_defect,
     defect_series_residual,
     delta_map,
-    embed_joint_defect,
     full_truncated_defect,
     joint_commutator,
     joint_defect,
     series_cutoff,
     truncated_defect,
 )
-from polydisc.errors import BadIndex, NotAvailable, ShapeMismatch
+from polydisc.errors import BadIndex, ShapeMismatch
 from polydisc.linalg import Subspace, containment_residual, loewner_leq, spec_norm
 from polydisc.sampling import random_commuting_tuple, random_nilpotent_pair, random_nodes
 from polydisc.tuples import (
@@ -253,42 +252,6 @@ def test_build_defects_mask_applied():
     assert spec_norm(pkg.joint.matrix) <= 1e-14
     raw = build_defects(t)
     assert spec_norm(raw.truncated[(0, frozenset())]) == pytest.approx(1.0)
-
-
-def test_embed_joint_defect_scalar_identity():
-    pkg = build_defects(validate([np.array([[0.6]])]))
-    space, residual = embed_joint_defect(pkg)
-    assert residual == 0.0
-    assert space.dim == 1 and space.ambient_dim == 1
-
-
-def test_embed_joint_defect_shift_pair():
-    n = 4
-    t = validate([np.zeros((n + 1, n + 1)), trunc_shift(n + 1)])
-    space, residual = embed_joint_defect(build_defects(t))
-    assert residual <= 1e-12
-    assert space.dim == 2
-    expected = np.zeros((n + 1, 2))
-    expected[0, 0] = 1.0
-    expected[n, 1] = 1.0
-    assert containment_residual(expected, space) <= 1e-10
-
-
-def test_embed_joint_defect_bishift_truncated_roots_orthogonal():
-    # The bishift is not Beurling (classical defects overlap with norm 1),
-    # but its fully truncated defects sit in opposite corners, so the
-    # embedding orthogonality residual is still zero for N >= 1.
-    t = validate(bishift(3))
-    space, residual = embed_joint_defect(build_defects(t))
-    assert residual <= 1e-12
-    assert space.dim == 2
-
-
-def test_embed_joint_defect_unavailable():
-    j = np.array([[0.0, 1.0], [0.0, 0.0]])
-    pkg = build_defects(validate([j, j]))
-    with pytest.raises(NotAvailable):
-        embed_joint_defect(pkg)
 
 
 def test_joint_defect_nilpotent_pair_psd_and_series():

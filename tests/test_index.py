@@ -11,15 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydisc.errors import BadIndex
 from polydisc.hardy import (
+    blockdiag_symbol,
     build_space,
     gather_blocks,
-    mono_shift,
+    monomial_symbol,
     offset_ranks,
+    product_symbol,
     row_mask,
     shift_apply,
-    shift_matrix,
-    window_mask,
+    symbol_matrix,
+    symbol_taylor,
+    unitary_symbol,
 )
 
 SHAPES = [(n, N, p) for n, N in ((1, 5), (2, 3), (3, 2)) for p in (1, 2)]
@@ -65,12 +69,12 @@ def test_position_and_rank(n, N, p):
 @pytest.mark.parametrize("n,N,p", SHAPES)
 def test_mono_shift_and_masks(n, N, p):
     s = build_space(n, N, p)
+    eye = np.eye(s.dim)
     for beta in itertools.product(range(3), repeat=n):
-        np.testing.assert_array_equal(mono_shift(s, beta), ref_mono_shift(s, beta))
+        moved = gather_blocks(s, offset_ranks(s, tuple(-b for b in beta)), eye)
+        np.testing.assert_array_equal(moved, np.kron(ref_mono_shift(s, beta), np.eye(p)))
     for caps in itertools.product(range(-1, N + 2), repeat=n):
-        expected = ref_row_mask(s, caps)
-        np.testing.assert_array_equal(row_mask(s, caps), expected)
-        np.testing.assert_array_equal(window_mask(s, caps).projection, np.diag(expected.astype(complex)))
+        np.testing.assert_array_equal(row_mask(s, caps), ref_row_mask(s, caps))
     np.testing.assert_array_equal(row_mask(s, N - 1), ref_row_mask(s, (N - 1,) * n))
 
 
@@ -80,9 +84,14 @@ def test_gathered_shifts_equal_dense_products(n, N, p):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((s.dim, 4)) + 1j * rng.standard_normal((s.dim, 4))
     for i in range(n):
-        m = shift_matrix(s, i)
+        m = np.kron(ref_mono_shift(s, np.eye(n, dtype=int)[i]), np.eye(p))
         np.testing.assert_array_equal(shift_apply(s, i, x), m @ x)
         np.testing.assert_array_equal(shift_apply(s, i, x, adjoint=True), m.conj().T @ x)
+        np.testing.assert_array_equal(shift_apply(s, i, x, adjoint=True).T, x.T @ m)
+    np.testing.assert_array_equal(shift_apply(s, 0, x[:, :0]), np.zeros((s.dim, 0)))
+    for i in (-1, n):
+        with pytest.raises(BadIndex):
+            shift_apply(s, i, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,8 +101,23 @@ def test_gather_shift_equals_dense_kron(n, N, p, data):
     s = build_space(n, N, p)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((s.dim, 2)) + 1j * rng.standard_normal((s.dim, 2))
-    dense = np.kron(mono_shift(s, beta), np.eye(p))
+    dense = np.kron(ref_mono_shift(s, beta), np.eye(p))
     moved = gather_blocks(s, offset_ranks(s, tuple(-b for b in beta)), x)
     np.testing.assert_array_equal(moved, dense @ x)
     back = gather_blocks(s, offset_ranks(s, beta), x)
     np.testing.assert_array_equal(back, dense.conj().T @ x)
+
+
+def test_symbol_matrix_equals_kron_sum():
+    # multi-dimensional blocks at several offsets beta, against the
+    # multiplication operator sum_beta z^beta (x) Theta_beta
+    u = np.array([[0.0, 1.0], [1.0j, 0.0]])
+    sym = product_symbol([
+        blockdiag_symbol([monomial_symbol(2, (1, 0)), monomial_symbol(2, (0, 2))]),
+        unitary_symbol(2, u),
+        blockdiag_symbol([monomial_symbol(2, (1, 1)), unitary_symbol(2, np.eye(1))]),
+    ])
+    s = build_space(2, 3, sym.output_dim)
+    coeffs, _, _ = symbol_taylor(sym, 2, 3)
+    expected = sum(np.kron(ref_mono_shift(s, beta), block) for beta, block in coeffs.items())
+    np.testing.assert_array_equal(symbol_matrix(s, sym)[0], expected)
