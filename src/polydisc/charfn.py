@@ -23,51 +23,85 @@ from .errors import (
     SingularResolvent,
 )
 from .dilation import DilationData, adjoint_powers, coefficient_tail_sum
-from .hardy import build_space, row_mask, shift_apply
+from .hardy import build_space, charfn_symbol, inner_residual_symbol, point_stack, row_mask, shift_apply
+from .hardy import torus_grid  # noqa: F401  (re-exported: the grids of inner_residual)
 from .linalg import (
-    DEFAULT_TOL,
     Subspace,
     as_complex,
     psd_sqrt,
     range_basis,
     spec_norm,
+    spec_norms,
+    stack_chunks,
 )
 from .tuples import CTuple, defect_first_kind, is_pure, validate
 
 RESOLVENT_COND_LIMIT = 1e12
 
 
-def _resolvent_factor(t: CTuple, k: int, wk) -> np.ndarray:
-    """The factor I - w_k T_k^*, gated on conditioning."""
-    f = np.eye(t.dim, dtype=np.complex128) - wk * t[k].conj().T
-    cond = float(np.linalg.cond(f))
-    if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
-        raise SingularResolvent(k, cond)
-    return f
+def _scale(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w_p x_p for each entry of a 1-D w, with x shared (2-D) or per entry (3-D).
+
+    x is broadcast to the full stack shape first: numpy's complex multiply
+    then runs the same loop as the product w_p * x of one point, which keeps
+    a stack bit-identical to its points taken one by one (a one-element x
+    left unbroadcast takes another loop and moves the last bit).
+    """
+    return w[:, None, None] * np.broadcast_to(x, (len(w),) + x.shape[-2:])
 
 
-def _point(t: CTuple, w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.complex128).ravel()
-    if w.size != t.n:
-        raise ShapeMismatch(f"point has {w.size} coordinates, tuple has n={t.n}")
-    return w
+def _resolvent_factor(t: CTuple, k: int, wk: np.ndarray) -> np.ndarray:
+    """The factors I - w_k T_k^*, one (d, d) matrix per entry of the 1-D wk."""
+    return np.eye(t.dim, dtype=np.complex128) - _scale(wk, t[k].conj().T)
 
 
-def _eval_core(t: CTuple, root: np.ndarray, w: np.ndarray, h_cols: np.ndarray) -> np.ndarray:
-    """D_{T*} prod_k (I-w_k T_k^*)^{-1} sum_j (w_j - T_j) prod_{i!=j} (I-w_i T_i^*)
-    applied to each column of h_cols (shape nd x m)."""
-    d = t.dim
-    factors = [_resolvent_factor(t, k, w[k]) for k in range(t.n)]
-    total = np.zeros((d, h_cols.shape[1]), dtype=np.complex128)
-    for j in range(t.n):
-        u = h_cols[j * d : (j + 1) * d]
-        for i in range(t.n):
-            if i != j:
-                u = factors[i] @ u
-        total += w[j] * u - t[j] @ u
+def _resolvent_gate(t: CTuple, w: np.ndarray) -> None:
+    """The one conditioning gate on the resolvent factors of a (P, n) stack.
+
+    np.linalg.cond runs once per distinct value of each w_k.  Failure raises
+    SingularResolvent for the first point, and within it the first variable,
+    whose factor is over RESOLVENT_COND_LIMIT: the failure a point-by-point
+    evaluation meets first.
+    """
+    cond = np.empty(w.shape)
     for k in range(t.n):
-        total = np.linalg.solve(factors[k], total)
-    return root @ total
+        values, inverse = np.unique(w[:, k], return_inverse=True)
+        per_value = np.empty(len(values))
+        for chunk in stack_chunks(len(values), 16 * t.dim**2):
+            per_value[chunk] = np.linalg.cond(_resolvent_factor(t, k, values[chunk]))
+        cond[:, k] = per_value[inverse]
+    bad = np.argwhere(~(cond <= RESOLVENT_COND_LIMIT))
+    if len(bad):
+        p, k = bad[0]
+        raise SingularResolvent(int(k), float(cond[p, k]))
+
+
+def _eval_core(t: CTuple, lead, w: np.ndarray, h_cols: np.ndarray) -> np.ndarray:
+    """prod_k (I-w_k T_k^*)^{-1} sum_j (w_j - T_j) prod_{i!=j} (I-w_i T_i^*)
+    applied to each column of h_cols (shape nd x m) at each point of the
+    (P, n) stack w, then multiplied on the left by each matrix of ``lead`` in
+    turn (D_{T*} first); returns shape (P, rows of lead[-1], m).  The stack
+    is walked in chunks within STACK_BYTE_BUDGET, with one batched solve per
+    variable and chunk."""
+    d, m = t.dim, h_cols.shape[1]
+    _resolvent_gate(t, w)
+    out = np.empty((len(w), lead[-1].shape[0], m), dtype=np.complex128)
+    for chunk in stack_chunks(len(w), 16 * d * (t.n * d + 3 * m)):
+        wc = w[chunk]
+        factors = [_resolvent_factor(t, k, wc[:, k]) for k in range(t.n)]
+        total = np.zeros((len(wc), d, m), dtype=np.complex128)
+        for j in range(t.n):
+            u = h_cols[j * d : (j + 1) * d]
+            for i in range(t.n):
+                if i != j:
+                    u = factors[i] @ u
+            total += _scale(wc[:, j], u) - t[j] @ u
+        for k in range(t.n):
+            total = np.linalg.solve(factors[k], total)
+        for a in lead:
+            total = a @ total
+        out[chunk] = total
+    return out
 
 
 def eval_raw(t: CTuple, w, h_tilde) -> np.ndarray:
@@ -77,23 +111,27 @@ def eval_raw(t: CTuple, w, h_tilde) -> np.ndarray:
     (one per variable).  Needs the tuple to be Szego so that the first-kind
     defect root exists; Beurling is not required.
     """
-    w = _point(t, w)
+    w, _ = point_stack(np.ravel(w), t.n)
     h = as_complex(h_tilde).reshape(-1, 1)
     if h.shape[0] != t.n * t.dim:
         raise ShapeMismatch(f"h~ has length {h.shape[0]}, expected {t.n * t.dim}")
     root, _ = defect_first_kind(t)
-    return _eval_core(t, root, w, h)[:, 0]
+    return _eval_core(t, (root,), w, h)[0, :, 0]
 
 
 def eval_onevar(t: CTuple, w) -> np.ndarray:
     """One-variable closed form [-T + w D_{T*}(I-wT*)^{-1} D_T] on the defect
-    spaces, as a matrix from the D_T basis to the D_{T*} basis."""
+    spaces, as a matrix from the D_T basis to the D_{T*} basis.
+
+    w is a point of shape (1,) or a stack of shape (P, 1) (hardy.point_stack);
+    the defect roots and bases are built once per call.
+    """
     if t.n != 1:
         raise BadIndex(f"one-variable form needs n=1, got n={t.n}")
     pure, radii = is_pure(t)
     if not pure:
         raise NotPure(f"spectral radius {max(radii)} too close to 1")
-    w = _point(t, w)[0]
+    w, single = point_stack(w, t.n)
     mat = t[0]
     eye = np.eye(t.dim, dtype=np.complex128)
     sq = eye - mat.conj().T @ mat
@@ -102,17 +140,21 @@ def eval_onevar(t: CTuple, w) -> np.ndarray:
     root_star = psd_sqrt(sq_star, t.tol)
     basis = range_basis(sq, t.tol, floor=1.0)
     basis_star = range_basis(sq_star, t.tol, floor=1.0)
-    f = _resolvent_factor(t, 0, w)
-    core = -mat + w * root_star @ np.linalg.solve(f, root)
-    return basis_star.basis.conj().T @ core @ basis.basis
+    _resolvent_gate(t, w)
+    f = _resolvent_factor(t, 0, w[:, 0])
+    roots = np.broadcast_to(root, f.shape)
+    core = -mat + _scale(w[:, 0], root_star) @ np.linalg.solve(f, roots)
+    out = basis_star.basis.conj().T @ core @ basis.basis
+    return out[0] if single else out
 
 
-def _blaschke_apply(t: CTuple, outer: int, inner: int, z_outer, z_inner, h: np.ndarray) -> np.ndarray:
-    """(I - z_outer T_outer^*)^{-1} b_{T_inner}(z_inner) (I - z_outer T_outer^*) h."""
-    f_out = _resolvent_factor(t, outer, z_outer)
-    f_in = _resolvent_factor(t, inner, z_inner)
+def _blaschke_apply(t: CTuple, outer: int, inner: int, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(I - z_outer T_outer^*)^{-1} b_{T_inner}(z_inner) (I - z_outer T_outer^*) h
+    at the point z, a (1, 2) stack that has passed the resolvent gate."""
+    f_out = _resolvent_factor(t, outer, z[:, outer])[0]
+    f_in = _resolvent_factor(t, inner, z[:, inner])[0]
     v = f_out @ h
-    v = z_inner * v - t[inner] @ v
+    v = z[0, inner] * v - t[inner] @ v
     v = np.linalg.solve(f_in, v)
     return np.linalg.solve(f_out, v)
 
@@ -125,14 +167,15 @@ def eval_pair_blaschke(t: CTuple, z, h_tilde) -> np.ndarray:
     """
     if t.n != 2:
         raise BadIndex(f"pair form needs n=2, got n={t.n}")
-    z = _point(t, z)
+    z, _ = point_stack(np.ravel(z), t.n)
     h = as_complex(h_tilde).ravel()
     if h.size != 2 * t.dim:
         raise ShapeMismatch(f"h~ has length {h.size}, expected {2 * t.dim}")
     h1, h2 = h[: t.dim], h[t.dim :]
     root, _ = defect_first_kind(t)
-    part2 = _blaschke_apply(t, 0, 1, z[0], z[1], h2)
-    part1 = _blaschke_apply(t, 1, 0, z[1], z[0], h1)
+    _resolvent_gate(t, z)
+    part2 = _blaschke_apply(t, 0, 1, z, h2)
+    part1 = _blaschke_apply(t, 1, 0, z, h1)
     return root @ (part2 + part1)
 
 
@@ -167,10 +210,13 @@ class CharFn:
         return self.output_basis.dim
 
     def eval(self, w) -> np.ndarray:
-        w = _point(self.tuple, w)
+        """Theta_T at a point w of shape (n,), an (output_dim, input_dim)
+        matrix, or at each point of a stack of shape (P, n), a stack of
+        shape (P, output_dim, input_dim) (hardy.point_stack)."""
+        w, single = point_stack(w, self.n)
         root = self.defects.first_kind[0]
-        out = _eval_core(self.tuple, root, w, self.preimages)
-        return self.output_basis.basis.conj().T @ out
+        out = _eval_core(self.tuple, (root, self.output_basis.basis.conj().T), w, self.preimages)
+        return out[0] if single else out
 
     def taylor_coeffs(self, n_deg: int) -> tuple[dict, float, float]:
         """Matrix Taylor coefficients up to per-variable degree n_deg.
@@ -273,25 +319,9 @@ def build_charfn(t: CTuple, defects: DefectPackage | None = None) -> CharFn:
     return CharFn(t, defects, basis, defects.first_kind[1], preimages, defects.mask)
 
 
-def torus_grid(n: int, per_axis: int) -> list[np.ndarray]:
-    """Deterministic product grid on the unit torus."""
-    if per_axis < 1:
-        raise BadIndex(f"per_axis must be >= 1, got {per_axis}")
-    angles = np.exp(2j * np.pi * np.arange(per_axis) / per_axis)
-    return [np.array(p) for p in itertools.product(angles, repeat=n)]
-
-
 def inner_residual(f: CharFn, grid) -> float:
-    """max over the grid of || eval(z)^H eval(z) - I ||."""
-    pts = list(grid)
-    if not pts:
-        raise BadIndex("inner residual needs a nonempty grid")
-    eye = np.eye(f.input_dim)
-    worst = 0.0
-    for z in pts:
-        m = f.eval(z)
-        worst = max(worst, spec_norm(m.conj().T @ m - eye))
-    return worst
+    """max over the (P, n) point stack ``grid`` of || eval(z)^H eval(z) - I ||."""
+    return inner_residual_symbol(charfn_symbol(f), grid)[0]
 
 
 def dilation_form_residual(t: CTuple, d: DilationData, f: CharFn) -> float:
@@ -376,7 +406,7 @@ def coincidence_from_unitary(
     sigma = as_complex(sigma)
     if sigma.shape != (t.dim, t.dim):
         raise ShapeMismatch(f"unitary shape {sigma.shape} vs dim {t.dim}")
-    if spec_norm(sigma @ sigma.conj().T - np.eye(t.dim)) > 1e-10:
+    if not spec_norm(sigma @ sigma.conj().T - np.eye(t.dim)) <= 1e-10:
         raise NotUnitary("conjugating matrix is not unitary within 1e-10")
     s = validate([sigma @ m @ sigma.conj().T for m in t], t.tol)
     mask_s = None if mask is None else sigma @ mask @ sigma.conj().T
@@ -389,15 +419,13 @@ def coincidence_from_unitary(
         f_t.output_basis.basis.conj().T @ sigma.conj().T @ f_s.output_basis.basis
     )
     for name, u in (("tau", tau), ("tau_star", tau_star)):
-        if spec_norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-10:
+        if not spec_norm(u @ u.conj().T - np.eye(u.shape[0])) <= 1e-10:
             raise NotUnitary(f"{name} failed to come out unitary")
 
-    pts = default_points(t.n) if points is None else list(points)
-    worst = 0.0
-    for w in pts:
-        lhs = f_t.eval(w)
-        rhs = tau_star @ f_s.eval(w) @ tau.conj().T
-        worst = max(worst, spec_norm(lhs - rhs))
+    pts = np.reshape(default_points(t.n) if points is None else points, (-1, t.n))
+    lhs = f_t.eval(pts)
+    rhs = tau_star @ f_s.eval(pts) @ tau.conj().T
+    worst = float(np.max(spec_norms(lhs - rhs), initial=0.0))
     return s, Coincidence(tau, tau_star, worst)
 
 
@@ -412,15 +440,13 @@ def alignment_probe(f1: CharFn, f2: CharFn, rng, tries: int = 50, points=None) -
 
     if f1.input_dim != f2.input_dim or f1.output_dim != f2.output_dim:
         return float("inf")
-    pts = default_points(f1.n) if points is None else list(points)
-    evals1 = [f1.eval(w) for w in pts]
-    evals2 = [f2.eval(w) for w in pts]
+    pts = np.reshape(default_points(f1.n) if points is None else points, (-1, f1.n))
+    evals1 = f1.eval(pts)
+    evals2 = f2.eval(pts)
     best = float("inf")
     for _ in range(tries):
         tau = random_unitary(rng, f1.input_dim)
         tau_star = random_unitary(rng, f1.output_dim)
-        worst = max(
-            spec_norm(a - tau_star @ b @ tau.conj().T) for a, b in zip(evals1, evals2)
-        )
+        worst = float(np.max(spec_norms(evals1 - tau_star @ evals2 @ tau.conj().T)))
         best = min(best, worst)
     return best

@@ -56,7 +56,7 @@ from .hardy import (
     structural_checks,
     symbol_from_json,
 )
-from .linalg import DEFAULT_TOL, Tolerances, spec_norm
+from .linalg import DEFAULT_TOL, Tolerances, spec_norms
 from .tuples import classify, complex_from_json, complex_to_json, is_beurling, tuple_from_json
 
 
@@ -310,7 +310,8 @@ def cmd_charfn(args) -> int:
         points, grid_pa = _read_points(_load_json(args.points_file), t.n, grid_pa)
     inner = inner_residual(f, torus_grid(t.n, grid_pa))
     sampled = default_points(t.n, seed=cfg.seed)
-    max_norm = max(spec_norm(f.eval(w)) for w in list(sampled) + points)
+    values = f.eval(np.reshape(list(sampled) + points, (-1, t.n)))
+    max_norm = float(np.max(spec_norms(values)))
     report = {
         "charfn_summary": {
             "n": t.n,
@@ -322,8 +323,8 @@ def cmd_charfn(args) -> int:
             "inner_residual": inner,
             "max_sampled_norm": max_norm,
             "points": [
-                {"w": complex_to_json(w), "matrix": complex_to_json(f.eval(w))}
-                for w in points
+                {"w": complex_to_json(w), "matrix": complex_to_json(m)}
+                for w, m in zip(points, values[len(sampled) :])
             ],
         },
         "provenance": _provenance("charfn", cfg, started),

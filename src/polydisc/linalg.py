@@ -42,6 +42,11 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# Largest stacked array, in bytes, that an evaluation over a stack of points
+# builds at once: the characteristic-function factors (charfn) and the symbol
+# values and Gram residuals of the torus-grid inner check (hardy).
+STACK_BYTE_BUDGET = 2**20
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -70,10 +75,25 @@ def as_complex(a) -> np.ndarray:
 
 def spec_norm(a) -> float:
     """Spectral norm (largest singular value); 0.0 for empty matrices."""
-    a = np.atleast_2d(as_complex(a))
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(spec_norms(np.atleast_2d(a)))
+
+
+def spec_norms(a) -> np.ndarray:
+    """Spectral norm of each matrix in a (..., m, k) stack; 0.0 for empty matrices.
+
+    One LAPACK SVD per matrix, the same as spec_norm, so the values agree
+    bit for bit."""
+    a = as_complex(a)
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def stack_chunks(count: int, item_bytes: int) -> list[slice]:
+    """Slices that walk a stack of ``count`` items of ``item_bytes`` each, so
+    that no chunk goes over STACK_BYTE_BUDGET (a chunk holds at least one item)."""
+    step = max(1, STACK_BYTE_BUDGET // max(item_bytes, 1))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def hermitian_part(a) -> tuple[np.ndarray, float]:

@@ -153,16 +153,15 @@ def szego_inverse_iterated(t: CTuple) -> np.ndarray:
     return hermitian_part(acc)[0]
 
 
-def szego_min_eig(t: CTuple) -> float:
-    vals, _ = herm_eig(szego_inverse(t), t.tol)
-    return float(vals[-1])
-
-
 def is_szego(t: CTuple) -> tuple[bool, float]:
     """Szego iff pure and the Szego inverse is PSD within tolerance."""
-    pure, _ = is_pure(t)
-    min_eig = szego_min_eig(t)
-    scale = max(spec_norm(szego_inverse(t)), 1.0)
+    return _szego_verdict(t, is_pure(t)[0], szego_inverse(t))
+
+
+def _szego_verdict(t: CTuple, pure: bool, s: np.ndarray) -> tuple[bool, float]:
+    """is_szego from the purity flag and the Szego inverse s, computed once by the caller."""
+    min_eig = float(herm_eig(s, t.tol)[0][-1])
+    scale = max(spec_norm(s), 1.0)
     return pure and min_eig >= -t.tol.tol_structural * scale, min_eig
 
 
@@ -206,7 +205,11 @@ def is_beurling(t: CTuple, mask=None) -> BeurlingVerdict:
     non-Szego tuple still gets a residual but the verdict is downgraded
     via szego_ok=False.
     """
-    szego_ok, _ = is_szego(t)
+    return _beurling_verdict(t, is_szego(t)[0], mask)
+
+
+def _beurling_verdict(t: CTuple, szego_ok: bool, mask) -> BeurlingVerdict:
+    """is_beurling from the Szego flag, computed once by the caller."""
     roots = [classical_defect(m, t.tol)[0] for m in t.matrices]
     p = None if mask is None else np.atleast_2d(as_complex(mask))
     worst, pair = 0.0, None
@@ -226,8 +229,8 @@ def classify(t: CTuple, mask=None) -> Classification:
     res, _ = commutation_residual(t.matrices)
     norms = tuple(float(spec_norm(m)) for m in t.matrices)
     pure, radii = is_pure(t)
-    szego, min_eig = is_szego(t)
-    verdict = is_beurling(t, mask)
+    szego, min_eig = _szego_verdict(t, pure, szego_inverse(t))
+    verdict = _beurling_verdict(t, szego, mask)
     return Classification(
         is_commuting=res <= t.tol.tol_structural * max(max(norms), 1.0),
         commuting_residual=float(res),

@@ -180,7 +180,6 @@ NAN = float("nan")
 MALFORMED = {
     "coincide-unitary-nan": ("coincide", {"matrix": [[[NAN, 0.0]]]}),
     "coincide-unitary-string": ("coincide", {"matrix": [[["a", 0.0]]]}),
-    "coincide-unitary-huge": ("coincide", {"matrix": [[[1e200, 0.0]]]}),
     "charfn-point-nan": ("charfn", _points([[NAN, 0.0]])),
     "charfn-point-string": ("charfn", _points([["x", 0.0]])),
     "charfn-point-outside": ("charfn", _points([[1.5, 0.0]])),
@@ -208,6 +207,21 @@ def test_malformed_input_exits_2(tmp_path, case):
     proc = subprocess.run([sys.executable, "-m", "polydisc.cli", *argv], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, code", [("hardy", 4), ("coincide", 5)], ids=["hardy", "coincide"])
+def test_nan_unitarity_residual_fails_gate(tmp_path, command, code):
+    """A unitary entry near 1e200 overflows U U^H, so the unitarity residual
+    is NaN; the gate must read that as a failure, not as a pass."""
+    huge = [[[1e200, 0.0]]]
+    if command == "hardy":
+        argv = ["hardy", write_json(tmp_path / "s.json", {"kind": "unitary", "n": 2, "matrix": huge})]
+    else:
+        path = write_json(tmp_path / "t.json", tuple_to_json(validate([np.array([[0.5]])])))
+        argv = ["coincide", path, write_json(tmp_path / "u.json", {"matrix": huge})]
+    proc = subprocess.run([sys.executable, "-m", "polydisc.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "not unitary" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

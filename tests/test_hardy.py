@@ -37,6 +37,7 @@ from polydisc.hardy import (
     symbol_from_json,
     symbol_matrix,
     symbol_to_json,
+    torus_grid,
     unitary_symbol,
     wandering_subspace,
 )
@@ -225,8 +226,8 @@ def test_symbol_matrix_dim_mismatch():
 
 
 def test_inner_residual_and_gate():
-    assert inner_residual_symbol(monomial_symbol(2, (1, 1)), 8)[0] <= 1e-14
-    assert inner_residual_symbol(blaschke_symbol(1, 0, [0.5, 0.3j]), 16)[0] <= 1e-13
+    assert inner_residual_symbol(monomial_symbol(2, (1, 1)), torus_grid(2, 8))[0] <= 1e-14
+    assert inner_residual_symbol(blaschke_symbol(1, 0, [0.5, 0.3j]), torus_grid(1, 16))[0] <= 1e-13
     check_inner(monomial_symbol(1, (2,)), 8)
     bogus = InnerSymbol("unitary", 1, 1, 1, matrix=np.array([[0.5 + 0j]]))
     with pytest.raises(SymbolNotInner) as exc:
