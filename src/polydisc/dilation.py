@@ -8,6 +8,7 @@ to lie below the stored truncation tail bound plus tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,9 +20,10 @@ from .linalg import DEFAULT_TOL, Subspace, Tolerances, containment_residual, ran
 from .tuples import CTuple, defect_first_kind, is_pure
 
 DEGREE_CAP = 64
-# Bytes of the largest minimality span build_dilation accepts: the span is the
-# largest dense operand of the dilation path, and its SVD needs a few times it.
-SPAN_BYTE_BUDGET = 2**28
+# Bytes build_dilation may allocate for its per-monomial arrays: the adjoint
+# ladder and the coefficients (d x d each) and pi (p x d), complex128.  Every
+# later step (defects, image basis) works on arrays of pi's size.
+DILATION_BYTE_BUDGET = 2**28
 
 
 def select_degree(t: CTuple, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -47,16 +49,14 @@ def select_degree(t: CTuple, tol: Tolerances = DEFAULT_TOL) -> int:
 class DilationData:
     """Coefficient realization of the dilation at one truncation degree.
 
-    coeff_map holds the full d x d blocks D_{T*} T^{*k}; pi is the same
-    data with rows compressed to coeff_basis coordinates, stacked in the
-    monomial order of ``space``.
+    pi holds the blocks D_{T*} T^{*k} with rows compressed to coeff_basis
+    coordinates, stacked in the monomial order of ``space``.
     """
 
     tuple: CTuple
     space: HardySpace
     degree: int
     coeff_basis: Subspace
-    coeff_map: dict[tuple[int, ...], np.ndarray]
     pi: np.ndarray
     image_basis: Subspace
     tail_bound: float
@@ -92,12 +92,6 @@ def coefficient_tail_sum(t: CTuple, n_deg: int) -> float:
     return max(float(np.prod(full_sums) - np.prod(box_sums)), 0.0)
 
 
-def _tail_bound(t: CTuple, n_deg: int, defect_norm: float) -> float:
-    """Certified bound on the dilation rows below the truncation box:
-    ||D_{T*}|| times the power-norm mass outside."""
-    return defect_norm * coefficient_tail_sum(t, n_deg)
-
-
 def adjoint_powers(t: CTuple, space: HardySpace) -> np.ndarray:
     """T^{*k} for every monomial k of ``space``, in rank order: shape (mono, d, d).
 
@@ -130,19 +124,17 @@ def build_dilation(t: CTuple, degree: int | None = None) -> DilationData:
     n_deg = select_degree(t, t.tol) if degree is None else int(degree)
     if n_deg < 1:
         raise ValueError(f"truncation degree must be >= 1, got {n_deg}")
-    span_bytes = n_deg**t.n * basis.dim * n_deg**t.n * t.dim * 16
-    if span_bytes > SPAN_BYTE_BUDGET:
-        raise DimensionOverflow(f"degree {n_deg} needs a {span_bytes / 2**20:.0f} MiB "
-                                f"minimality span; budget {SPAN_BYTE_BUDGET / 2**20:.0f} MiB")
+    need = (n_deg + 1) ** t.n * (2 * t.dim + basis.dim) * t.dim * 16
+    if need > DILATION_BYTE_BUDGET:
+        raise DimensionOverflow(f"degree {n_deg} needs {need / 2**20:.0f} MiB of coefficient "
+                                f"arrays; budget {DILATION_BYTE_BUDGET / 2**20:.0f} MiB")
     space = build_space(t.n, n_deg, basis.dim)
 
-    coeffs = root @ adjoint_powers(t, space)
-    coeff_map = dict(zip(space.exponents, coeffs))
-    pi = (basis.basis.conj().T @ coeffs).reshape(space.dim, t.dim)
-
+    pi = (basis.basis.conj().T @ (root @ adjoint_powers(t, space))).reshape(space.dim, t.dim)
     image = range_basis(pi, t.tol, floor=1.0)
-    tail = _tail_bound(t, n_deg, spec_norm(root))
-    return DilationData(t, space, n_deg, basis, coeff_map, pi, image, tail)
+    # certified bound on the dilation rows outside the truncation box
+    tail = spec_norm(root) * coefficient_tail_sum(t, n_deg)
+    return DilationData(t, space, n_deg, basis, pi, image, tail)
 
 
 def isometry_defect(d: DilationData) -> float:
@@ -170,28 +162,35 @@ def intertwining_defect(d: DilationData) -> float:
 
 
 def minimality_defect(d: DilationData) -> float:
-    """Distance of window monomial vectors from span of shifted columns.
+    """Certified upper bound on the distance of each window coordinate
+    vector from the span of { z^k (pi h) : k in box }, rows masked to the
+    window (every k_i <= N - 1).
 
-    The spanned set is { z^k (pi h) : k in box, h basis vector }, masked
-    to the window of rows with every k_i <= N - 1; the reported
-    value is the worst distance of a windowed coordinate vector from that
-    span.  Rows outside the window are zero after the mask, and so is the
-    column of every shift with some k_i = N, since it moves every row to
-    degree N or more in variable i.  Dropping those zero rows and columns
-    changes neither the span nor any distance, so the span matrix is built
-    on window rows and window shifts only: (N^n p) x (N^n dim) instead of
-    D x (mono dim).  Column block k holds, in window row e, the pi block
-    of e - k (zero unless e >= k), gathered one shift at a time.
+    Pi(z) = pi_0 prod_k (I - z_k T_k^*)^{-1}, and pi_0 has full row rank p,
+    so with R = pinv(pi_0) the polynomial G(z) = prod_k (I - z_k T_k^*) R
+    is an exact right inverse: Pi G = pi_0 R = I_p.  G has the blocks
+    g_S = (-1)^|S| (prod_{i in S} T_i^*) R at z^{1_S}, one per subset S of
+    the variables.  In window row z^e, Pi G has coefficient
+    sum_S pi_{e - 1_S} g_S, and every e - 1_S lies in the box, so the
+    truncated sum_S z^{1_S} pi g_S equals delta_{e,0} I_p there exactly:
+    its columns are preimages in the span of the targets e_0 (x) e_r, and
+    the column norms of r = sum_S (window rows of z^{1_S} pi) g_S - e_0
+    bound their distances from above.  The preimage of e_m (x) e_r is the
+    same sum shifted by z^m, whose residual is r on the sub-window
+    e <= N - 1 - m; so the largest column norm of r bounds every target.
+    It reads high only if pi_0 lacks full row rank (a coefficient direction
+    orthogonal to every column, at distance 1) or pi is not of the
+    resolvent form, which intertwining_defect certifies.  No span is built.
     """
-    space, p, dim = d.space, d.space.coeff_dim, d.tuple.dim
+    space, p = d.space, d.space.coeff_dim
     window = np.flatnonzero(row_mask(space, d.degree - 1)[::p])
-    cols = np.empty((window.size * p, window.size, dim), dtype=np.complex128)
-    for c, k in enumerate(space.exps[window]):
-        cols[:, c, :] = gather_blocks(space, offset_ranks(space, -k)[window], d.pi)
-    span = range_basis(cols.reshape(window.size * p, window.size * dim), d.tuple.tol, floor=1.0)
-    # distance of each windowed coordinate vector via the actual residual
-    # vector; 1 - ||row||^2 would lose half the digits to cancellation
-    resid = np.eye(window.size * p, dtype=np.complex128) - span.basis @ span.basis.conj().T
+    right = np.linalg.pinv(d.pi[:p])
+    resid = -np.eye(window.size * p, p, dtype=np.complex128)  # -e_0: rank 0 is z^0
+    for subset in itertools.product((0, 1), repeat=space.n):
+        g = right
+        for i in np.flatnonzero(subset):
+            g = -d.tuple[i].conj().T @ g
+        resid += gather_blocks(space, offset_ranks(space, np.negative(subset))[window], d.pi) @ g
     return float(np.linalg.norm(resid, axis=0).max(initial=0.0))
 
 

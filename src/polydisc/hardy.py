@@ -49,7 +49,6 @@ from .linalg import (
     projector_residual,
     range_basis,
     spec_norm,
-    spec_norms,
     stack_chunks,
 )
 from .tuples import CTuple, classical_defect_sq, complex_from_json, complex_to_json, validate
@@ -446,16 +445,24 @@ def inner_residual_symbol(sym: InnerSymbol, points) -> tuple[float, tuple]:
     and the first point attaining it; a NaN residual ranks as the worst.
 
     The one torus-grid inner-ness evaluator: the stack is evaluated in chunks
-    within STACK_BYTE_BUDGET, each chunk in one eval_symbol call."""
+    within STACK_BYTE_BUDGET, each chunk in one eval_symbol call.  The
+    deviation is Hermitian, so its norm is its largest |eigenvalue|; a
+    deviation with a non-finite entry reads NaN.  A constant symbol is
+    evaluated at the first point only, which then attains the worst."""
     points, _ = point_stack(points, sym.n)
     if len(points) == 0:
         raise BadIndex("inner residual needs a nonempty point stack")
+    if is_constant(sym):
+        points = points[:1]
     eye = np.eye(sym.input_dim)
     item_bytes = 16 * (sym.output_dim * sym.input_dim + 2 * sym.input_dim**2)
     res = np.empty(len(points))
     for chunk in stack_chunks(len(points), item_bytes):
         val = eval_symbol(sym, points[chunk])
-        res[chunk] = spec_norms(val.conj().swapaxes(1, 2) @ val - eye)
+        dev = val.conj().swapaxes(1, 2) @ val - eye
+        bad = ~np.isfinite(dev).all(axis=(1, 2))
+        dev[bad] = 0.0
+        res[chunk] = np.where(bad, np.nan, np.abs(np.linalg.eigvalsh(dev)).max(axis=1, initial=0.0))
     worst = int(np.argmax(res))
     return float(res[worst]), tuple(points[worst])
 

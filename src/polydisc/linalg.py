@@ -221,20 +221,16 @@ def containment_residual(vectors, space: Subspace) -> float:
     """Largest distance of the given (unit-scaled) columns from a subspace.
 
     Columns with norm below 1e-14 are skipped; remaining columns are
-    normalized so the residual is an angle-like quantity in [0, 1].
+    normalized so the residual is an angle-like quantity in [0, 1].  The
+    residual x - Q (Q^H x) is formed for all kept columns at once, in the
+    thin basis Q, never as a projector.
     """
     vectors = np.atleast_2d(as_complex(vectors))
-    if vectors.shape[1] == 0:
-        return 0.0
-    p = space.projector()
-    worst = 0.0
-    for c in range(vectors.shape[1]):
-        col = vectors[:, c]
-        norm = np.linalg.norm(col)
-        if norm < 1e-14:
-            continue
-        worst = max(worst, float(np.linalg.norm(col - p @ col) / norm))
-    return worst
+    norms = np.linalg.norm(vectors, axis=0)
+    keep = norms >= 1e-14
+    kept, q = vectors[:, keep], space.basis
+    resid = np.linalg.norm(kept - q @ (q.conj().T @ kept), axis=0)
+    return float((resid / norms[keep]).max(initial=0.0))
 
 
 def intersect_subspaces(spaces: list[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:

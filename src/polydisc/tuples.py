@@ -145,14 +145,6 @@ def szego_inverse(t: CTuple) -> np.ndarray:
     return hermitian_part(acc)[0]
 
 
-def szego_inverse_iterated(t: CTuple) -> np.ndarray:
-    """Same operator as the one-step composition of maps A -> A - T_i A T_i^*."""
-    acc = np.eye(t.dim, dtype=np.complex128)
-    for m in t.matrices:
-        acc = acc - m @ acc @ m.conj().T
-    return hermitian_part(acc)[0]
-
-
 def is_szego(t: CTuple) -> tuple[bool, float]:
     """Szego iff pure and the Szego inverse is PSD within tolerance."""
     return _szego_verdict(t, is_pure(t)[0], szego_inverse(t))

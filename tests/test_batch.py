@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polydisc.hardy
 import polydisc.linalg
 import polydisc.tuples
 from polydisc.charfn import RESOLVENT_COND_LIMIT, build_charfn, coincidence_from_unitary, eval_onevar, inner_residual
@@ -127,12 +128,13 @@ def ref_eval_symbol(sym: InnerSymbol, w) -> np.ndarray:
 
 
 def ref_inner_residual(sym: InnerSymbol, points) -> tuple[float, tuple]:
-    """Worst ||Theta^H Theta - I|| over the points, one point at a time."""
+    """Worst ||Theta^H Theta - I|| over the points, one point at a time, as
+    the largest |eigenvalue| of the Hermitian deviation."""
     eye = np.eye(sym.input_dim)
     worst, worst_pt = 0.0, None
     for z in points:
         val = ref_eval_symbol(sym, z)
-        res = spec_norm(val.conj().T @ val - eye)
+        res = float(np.abs(np.linalg.eigvalsh(val.conj().T @ val - eye)).max())
         if worst_pt is None or res > worst:
             worst, worst_pt = res, tuple(z)
     return worst, worst_pt
@@ -243,8 +245,54 @@ def test_inner_check_memory_stays_within_budget():
     finally:
         tracemalloc.stop()
     assert worst <= 1e-13
-    # unchunked, the Gram stack alone would be 32^3 * 40^2 * 16 bytes, about 840 MB
+    # a constant symbol is evaluated at one point; over the whole grid its
+    # Gram stack alone would be 32^3 * 40^2 * 16 bytes, about 840 MB
     assert peak < 4 * STACK_BYTE_BUDGET + grid.nbytes
+
+
+def test_inner_check_memory_nonconstant_symbol():
+    # a 40 x 40 symbol that depends on the point, so every grid point is evaluated
+    u = random_unitary(np.random.default_rng(1), 40)
+    sym = product_symbol([unitary_symbol(3, u), blockdiag_symbol([monomial_symbol(3, (1, 0, 2))] * 40)])
+    grid = torus_grid(3, 12)
+    tracemalloc.start()
+    try:
+        worst = check_inner(sym, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst <= 1e-13
+    # unchunked, the Gram stack alone would be 12^3 * 40^2 * 16 bytes, about 44 MB
+    assert peak < 4 * STACK_BYTE_BUDGET + grid.nbytes
+
+
+def test_inner_residual_is_the_spectral_norm():
+    # off the torus the residual is of order one: the Hermitian eigenvalue
+    # reading agrees with the SVD norm at every point to roundoff
+    rng = np.random.default_rng(12)
+    for dim, depth in ((1, 2), (2, 2), (5, 3)):
+        sym = random_symbol(rng, 2, dim, depth)
+        w = repeated_points(rng, 9, 2, 9)
+        vals = eval_symbol(sym, w)
+        svd = [spec_norm(v.conj().T @ v - np.eye(dim)) for v in vals]
+        assert inner_residual_symbol(sym, w)[0] == pytest.approx(max(svd), rel=1e-13, abs=1e-15)
+
+
+def test_constant_symbol_evaluated_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    sym = product_symbol([unitary_symbol(2, random_unitary(rng, 3)), unitary_symbol(2, random_unitary(rng, 3))])
+    grid = torus_grid(2, 16)
+    seen = []
+
+    def counted(s, w, _original=polydisc.hardy.eval_symbol):
+        seen.append(len(w))
+        return _original(s, w)
+
+    monkeypatch.setattr(polydisc.hardy, "eval_symbol", counted)
+    worst, point = inner_residual_symbol(sym, grid)
+    assert seen == [1] and point == tuple(grid[0])
+    monkeypatch.undo()
+    assert (worst, point) == ref_inner_residual(sym, grid)
 
 
 def test_torus_grid_is_product_order():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -15,6 +16,7 @@ from polydisc.dilation import (
     select_degree,
 )
 from polydisc.errors import DimensionOverflow, NotPure, NotSzego
+from polydisc.hardy import build_space
 from polydisc.linalg import range_basis
 from polydisc.sampling import random_nodes
 from polydisc.tuples import CTuple, szego_tuple_from_nodes, tuple_to_json, validate
@@ -41,7 +43,6 @@ def test_build_dilation_scalar_coefficients():
     d = build_dilation(scalar_tuple(a), degree=8)
     root = np.sqrt(1 - a**2)
     for k in range(9):
-        np.testing.assert_allclose(d.coeff_map[(k,)], [[root * a**k]], atol=1e-14)
         np.testing.assert_allclose(d.pi[k, 0], root * a**k, atol=1e-14)
     assert d.tail_bound < 0.05
     assert d.image_basis.dim == 1
@@ -54,7 +55,9 @@ def test_build_dilation_zero_shift_pair():
     assert d.degree == m + 1  # auto rule for nilpotent tuples
     e0 = np.zeros(m + 1)
     e0[0] = 1.0
-    for k, block in d.coeff_map.items():
+    # the full d x d block D_{T*} T^{*k} is the coefficient basis times the pi block
+    blocks = d.coeff_basis.basis @ d.pi.reshape(d.space.mono_count, d.space.coeff_dim, m + 1)
+    for k, block in zip(d.space.exponents, blocks):
         if k[0] == 0 and k[1] <= m:
             ek = np.zeros(m + 1)
             ek[k[1]] = 1.0
@@ -169,16 +172,49 @@ def test_minimality_matches_full_box_span():
     assert build_dilation(tuples[0]).space.coeff_dim == 2
 
 
+def test_non_minimal_dilation_fails():
+    # pi padded with a zero coefficient coordinate: still of the resolvent
+    # form, but the new coordinate is orthogonal to every shifted column
+    nodes = random_nodes(np.random.default_rng(3), 3, 2, modulus_max=0.2, min_sep=0.08)
+    d = build_dilation(szego_tuple_from_nodes(nodes))
+    space, p = d.space, d.space.coeff_dim
+    padded = np.zeros((space.mono_count, p + 1, d.tuple.dim), dtype=np.complex128)
+    padded[:, :p] = d.pi.reshape(space.mono_count, p, d.tuple.dim)
+    wide = dataclasses.replace(d, space=build_space(space.n, space.N, p + 1), pi=padded.reshape(-1, d.tuple.dim))
+    assert intertwining_defect(wide) <= 1e-13
+    assert minimality_defect(wide) >= 0.5
+    assert full_box_minimality(wide) >= 0.5
+    assert minimality_defect(d) <= d.tail_bound + 1e-10
+
+
+def write_tuple(tmp_path, t):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tuple_to_json(t)), encoding="utf-8")
+    return str(path)
+
+
 def test_oversized_dilation_refused_before_allocation(tmp_path):
-    # degree 48 in three variables: D = 49^3 = 117,649 passes the space cap,
-    # but the minimality span would be (48^3) x (48^3 * 3) entries, 587 GB
+    # one variable, 6 nodes, degree 999999: D = 10^6 passes the space cap, but
+    # the ladder, coefficients and pi would take 10^6 * (2 * 6 + 1) * 6 * 16
+    # bytes, 1.2 GB, over DILATION_BYTE_BUDGET
+    t = szego_tuple_from_nodes(np.array([[0.1], [0.3], [-0.5], [0.2j], [-0.4j], [0.6 + 0.1j]]))
+    assert (t.n, t.dim) == (1, 6)
+    with pytest.raises(DimensionOverflow):
+        build_dilation(t, degree=999999)
+    path = write_tuple(tmp_path, t)
+    start = time.monotonic()
+    assert main(["dilate", path, "--degree", "999999"]) == 2
+    assert time.monotonic() - start < 1.0
+
+
+def test_large_three_variable_dilation_finishes(tmp_path):
+    # degree 48 in three variables, D = 49^3 = 117,649: within the budget
     nodes = np.array([[0.6, 0.2j, -0.1], [0.1, -0.5, 0.3j], [-0.3j, 0.25, 0.45]])
     t = szego_tuple_from_nodes(nodes)
     assert select_degree(t) == 48
-    with pytest.raises(DimensionOverflow):
-        build_dilation(t)
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(tuple_to_json(t)), encoding="utf-8")
-    start = time.monotonic()
-    assert main(["dilate", str(path)]) == 2
-    assert time.monotonic() - start < 1.0
+    out = tmp_path / "report.json"
+    assert main(["dilate", write_tuple(tmp_path, t), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))["dilation_defects"]
+    assert report["space_dim"] == 49**3
+    for name in ("isometry", "intertwining", "minimality", "model_equivalence", "image_invariance"):
+        assert report[name] <= report["tail_bound"] + 1e-10
