@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionOverflow, NotPure, PolydiscError
 from .hardy import HardySpace, build_space, gather_blocks, offset_ranks, row_mask, shift_apply
-from .linalg import DEFAULT_TOL, Subspace, Tolerances, containment_residual, range_basis, spec_norm
+from .linalg import DEFAULT_TOL, Subspace, Tolerances, containment_residual, range_basis, spec_norm, spec_norms
 from .tuples import CTuple, defect_first_kind, is_pure
 
 DEGREE_CAP = 64
@@ -62,14 +62,13 @@ class DilationData:
     tail_bound: float
 
 
-def _power_norms(mat: np.ndarray, top: int) -> list[float]:
-    """Spectral norms of mat^0 .. mat^top."""
-    norms = []
-    p = np.eye(mat.shape[0], dtype=np.complex128)
-    for _ in range(top + 1):
-        norms.append(spec_norm(p))
-        p = p @ mat
-    return norms
+def _power_norms(mat: np.ndarray, top: int) -> np.ndarray:
+    """Spectral norms of mat^0 .. mat^top, read off one (top + 1, d, d) stack."""
+    powers = np.empty((top + 1,) + mat.shape, dtype=np.complex128)
+    powers[0] = np.eye(mat.shape[0])
+    for k in range(top):
+        powers[k + 1] = powers[k] @ mat
+    return spec_norms(powers)
 
 
 def coefficient_tail_sum(t: CTuple, n_deg: int) -> float:

@@ -44,8 +44,9 @@ from .linalg import (
     Tolerances,
     as_complex,
     containment_residual,
-    intersect_subspaces,
+    herm_eig,
     null_space,
+    phase_fix,
     projector_residual,
     range_basis,
     spec_norm,
@@ -97,13 +98,13 @@ class HardySpace:
         return self.rank(k) * self.coeff_dim + r
 
 
-def build_space(n: int, N: int, coeff_dim: int, cap: int = DIMENSION_CAP) -> HardySpace:
+def build_space(n: int, N: int, coeff_dim: int) -> HardySpace:
     """Enumerate the truncated monomial basis in graded lexicographic order."""
     if n < 1 or N < 1 or coeff_dim < 1:
         raise ValueError("need n >= 1, N >= 1, coeff_dim >= 1")
     dim = (N + 1) ** n * coeff_dim
-    if dim > cap:
-        raise DimensionOverflow(f"space dimension {dim} exceeds cap {cap}")
+    if dim > DIMENSION_CAP:
+        raise DimensionOverflow(f"space dimension {dim} exceeds cap {DIMENSION_CAP}")
     box = np.indices((N + 1,) * n).reshape(n, -1).T  # flat-index order, i.e. lexicographic
     order = np.argsort(box.sum(axis=1), kind="stable")
     exps, rank_of = box[order], np.argsort(order)
@@ -599,18 +600,25 @@ def quotient_mask(model: QuotientModel, shrink: int = 0) -> np.ndarray:
 
 
 def wandering_subspace(model: QuotientModel, p, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """W_P: the part of the submodule orthogonal to z_i S for all i in P."""
+    """W_P: the part of the submodule orthogonal to z_i S for all i in P.
+
+    A vector S y lies in W_P iff sum_{i in P} ||R_i^H S y||^2 = 0, with R_i a
+    range basis of M_i S; so W_P is S times the numerical null eigenspace of
+    G = sum_i C_i^H C_i, C_i = R_i^H S, a matrix of the size of dim S.
+    """
     pset = sorted(set(int(i) for i in p))
     if not pset:
         raise BadIndex("wandering subspace needs a nonempty index set")
     if any(not 0 <= i < model.space.n for i in pset):
         raise BadIndex(f"index set {pset} out of range for n={model.space.n}")
-    s_basis = model.submodule_basis.basis
-    pieces = [model.submodule_basis]
+    s = model.submodule_basis.basis
+    gram = np.zeros((s.shape[1], s.shape[1]), dtype=np.complex128)
     for i in pset:
-        shifted = shift_apply(model.space, i, s_basis)
-        pieces.append(null_space(shifted.conj().T, tol))
-    return intersect_subspaces(pieces, tol)
+        c = range_basis(shift_apply(model.space, i, s), tol).basis.conj().T @ s
+        gram += c.conj().T @ c
+    vals, vecs = herm_eig(gram, tol)
+    keep = vals < tol.tol_rank * max(vals.max(initial=0.0), 1.0)
+    return Subspace(model.space.dim, phase_fix(s @ vecs[:, keep]))
 
 
 def masked_span(vectors, keep: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -661,33 +669,26 @@ def structural_checks(
         return StructuralReport({}, {"quotient": 0}, threshold)
     t = model_tuple(model, tol)
     q = model.quotient_basis.basis
-    s_proj = model.submodule_basis.projector()
-    q_proj = model.quotient_basis.projector()
-    eye_amb = np.eye(space.dim)
+    s = model.submodule_basis.basis
     mask1 = quotient_mask(model, 1)
     mask2 = quotient_mask(model, 2)
     keep0 = row_mask(space, model.exact_window)
     keep1 = row_mask(space, tuple(c - 1 for c in model.exact_window))
-    # (M_i Q)^H = Q^H M_i^*, copied row-major: BLAS picks its summation order
-    # from the layout, and the residuals' last bits depend on that order
-    q_shifted_h = [np.ascontiguousarray(shift_apply(space, i, q).conj().T) for i in range(n)]
-
-    def right_shift(x, i, adjoint=False):
-        """x M_i, or x M_i^*, as a column gather."""
-        return shift_apply(space, i, x.T, adjoint=not adjoint).T
+    mq = [shift_apply(space, i, q) for i in range(n)]  # M_i Q
+    a = [s.conj().T @ mq[i] for i in range(n)]  # S^H M_i Q
 
     residuals: dict[str, float] = {}
     dims: dict[str, int] = {"quotient": model.quotient_dim}
 
+    def leak(b, moved):
+        """||K_1 (I - B B^H) moved (K_0 B)^H|| for the window row masks K_0, K_1.
+        With K_0 B = U R a thin QR factorisation, U drops out of the norm."""
+        r = np.linalg.qr(b * keep0[:, None], mode="r")
+        return spec_norm(((moved - b @ (b.conj().T @ moved)) * keep1[:, None]) @ r.conj().T)
+
     # Invariance of the two halves under the (adjoint) shifts.
-    residuals["submodule_invariant"] = max(
-        spec_norm((right_shift((eye_amb - s_proj) * keep1[:, None], i) @ s_proj) * keep0)
-        for i in range(n)
-    )
-    residuals["quotient_coinvariant"] = max(
-        spec_norm((right_shift((eye_amb - q_proj) * keep1[:, None], i, adjoint=True) @ q_proj) * keep0)
-        for i in range(n)
-    )
+    residuals["submodule_invariant"] = max(leak(s, shift_apply(space, i, s)) for i in range(n))
+    residuals["quotient_coinvariant"] = max(leak(q, shift_apply(space, i, q, adjoint=True)) for i in range(n))
 
     # The compressions commute on the window.
     residuals["model_ops_commute"] = max(
@@ -700,11 +701,7 @@ def structural_checks(
 
     # Defect formula: I - C_i^* C_i equals the cross-projection product.
     residuals["defect_formula"] = max(
-        spec_norm(
-            mask1
-            @ (classical_defect_sq(t[i]) - right_shift(q_shifted_h[i] @ s_proj, i) @ q)
-            @ mask1
-        )
+        spec_norm(mask1 @ (classical_defect_sq(t[i]) - a[i].conj().T @ a[i]) @ mask1)
         for i in range(n)
     )
 
@@ -713,10 +710,7 @@ def structural_checks(
         (
             spec_norm(
                 mask1
-                @ (
-                    (t[j] @ t[i].conj().T - t[i].conj().T @ t[j])
-                    - right_shift(q_shifted_h[i] @ s_proj, j) @ q
-                )
+                @ ((t[j] @ t[i].conj().T - t[i].conj().T @ t[j]) - a[i].conj().T @ a[j])
                 @ mask1
             )
             for i, j in itertools.permutations(range(n), 2)
@@ -764,7 +758,7 @@ def structural_checks(
     theta_cols = model.symbol_mat[:, : model.symbol.input_dim]  # degree-0 inputs
     fs_formula = 0.0
     for j in range(n):
-        pulled = q_shifted_h[j] @ theta_cols
+        pulled = mq[j].conj().T @ theta_cols
         lhs = range_basis(mask1 @ (mask1 @ pulled), tol, floor=1.0)  # windowed span of windowed columns
         rhs = range_basis(mask1 @ full_truncated_defect(t, j) @ mask1, tol, floor=1.0)
         fs_formula = max(fs_formula, projector_residual(lhs, rhs))
@@ -775,9 +769,13 @@ def structural_checks(
     # only when its degree overflows the box), so wandering readings mask
     # at the full window, not the shrunk one; shrinking further would
     # erase generators whose degree equals the symbol reach.
-    full_set = list(range(n))
-    w_full = wandering_subspace(model, full_set, tol)
-    w_masked = masked_span(w_full.basis, keep0, tol)
+    wander = {
+        p: wandering_subspace(model, p, tol)
+        for size in range(1, n + 1)
+        for p in itertools.combinations(range(n), size)
+    }
+    w_masked = masked_span(wander[tuple(range(n))].basis, keep0, tol)
+    w = w_masked.basis
     dims["wandering"] = w_masked.dim
 
     theta_span = masked_span(theta_cols, keep0, tol)
@@ -787,7 +785,7 @@ def structural_checks(
     wl_split = 0.0
     for psize in range(1, n):
         for pset in itertools.combinations(range(n), psize):
-            wp = wandering_subspace(model, pset, tol)
+            wp = wander[pset]
             for j in range(n):
                 if j in pset:
                     continue
@@ -796,11 +794,10 @@ def structural_checks(
                     wl_invar,
                     containment_residual(shifted, masked_span(wp.basis, keep0, tol)),
                 )
-                bigger = wandering_subspace(model, pset + (j,), tol)
-                inside = masked_span(wp.basis, keep1, tol)
-                z_wp = masked_span(shift_apply(space, j, wp.basis), keep1, tol)
-                complement_cols = (np.eye(space.dim) - z_wp.projector()) @ inside.basis
-                split = masked_span(complement_cols, keep1, tol)
+                bigger = wander[tuple(sorted(pset + (j,)))]
+                inside = masked_span(wp.basis, keep1, tol).basis
+                z_wp = masked_span(shift_apply(space, j, wp.basis), keep1, tol).basis
+                split = masked_span(inside - z_wp @ (z_wp.conj().T @ inside), keep1, tol)
                 wl_split = max(
                     wl_split,
                     projector_residual(split, masked_span(bigger.basis, keep1, tol)),
@@ -814,20 +811,21 @@ def structural_checks(
     if n >= 2:
         for j in range(n):
             rest = tuple(i for i in range(n) if i != j)
-            wjc = masked_span(wandering_subspace(model, rest, tol).basis, keep0, tol)
-            diff = right_shift((w_masked.projector() - wjc.projector()) * keep0, j) @ q
+            wjc = masked_span(wander[rest].basis, keep0, tol).basis
+            v = mq[j] * keep0[:, None]
+            diff = w @ (w.conj().T @ v) - wjc @ (wjc.conj().T @ v)
             wj_res = max(wj_res, spec_norm(diff))
     residuals["wandering_projection_agreement"] = wj_res
 
     # Effective wandering subspace: the part reached from the quotient.
-    reached = np.hstack([right_shift(w_masked.projector() * keep0, j) @ q for j in range(n)])
+    x_cols = [(w.conj().T * keep0) @ mq[j] for j in range(n)]  # W^H K_0 M_j Q
+    reached = np.hstack([w @ x for x in x_cols])
     w_eff = range_basis(reached, tol, floor=1.0)
     dims["wandering_effective"] = w_eff.dim
 
     # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q.
     jd = joint_defect(t, mask=mask1)
     dims["joint_defect"] = range_basis(jd.matrix, tol, floor=1.0).dim
-    x_cols = [right_shift(w_masked.basis.conj().T * keep0, j) @ q for j in range(n)]
     qd = model.quotient_dim
     gram = np.zeros((n * qd, n * qd), dtype=np.complex128)
     for i in range(n):
@@ -839,8 +837,7 @@ def structural_checks(
     residuals["joint_defect_gram_identity"] = spec_norm(big_mask @ (jd.matrix - gram) @ big_mask)
 
     # Minimality: overlap of the submodule with constant vectors of E*.
-    const_cols = np.eye(space.dim, space.coeff_dim, dtype=np.complex128)  # z^0 has rank 0
-    overlap = spec_norm(model.submodule_basis.basis.conj().T @ const_cols)
+    overlap = spec_norm(s[: space.coeff_dim])  # ||S^H e_r||: z^0 e_r sit in rows 0..coeff_dim-1
     if expect_minimal is None:
         expect_minimal = not _has_constant_block(model.symbol)
     expected = 0.0 if expect_minimal else 1.0

@@ -59,9 +59,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
 
 @dataclass(frozen=True)
 class LoewnerVerdict:
@@ -211,10 +208,16 @@ def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> LoewnerVerdict:
 
 
 def projector_residual(u: Subspace, v: Subspace) -> float:
-    """Distance ||P_U - P_V|| between two subspaces of the same ambient."""
+    """Distance ||P_U - P_V|| between two subspaces of the same ambient.
+
+    Read in the thin bases as max(||(I - P_V) U||, ||(I - P_U) V||), which
+    equals ||P_U - P_V|| for any two orthogonal projections (T. Kato,
+    Perturbation Theory for Linear Operators, ch. I sec. 6).
+    """
     if u.ambient_dim != v.ambient_dim:
         raise ShapeMismatch("subspaces live in different ambient dimensions")
-    return spec_norm(u.projector() - v.projector())
+    a, b = u.basis, v.basis
+    return max(spec_norm(a - b @ (b.conj().T @ a)), spec_norm(b - a @ (a.conj().T @ b)))
 
 
 def containment_residual(vectors, space: Subspace) -> float:
@@ -231,22 +234,3 @@ def containment_residual(vectors, space: Subspace) -> float:
     kept, q = vectors[:, keep], space.basis
     resid = np.linalg.norm(kept - q @ (q.conj().T @ kept), axis=0)
     return float((resid / norms[keep]).max(initial=0.0))
-
-
-def intersect_subspaces(spaces: list[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection of subspaces via the zero eigenspace of sum of complements.
-
-    A vector lies in every space iff it is annihilated by every (I - P_i);
-    the intersection is the numerical null eigenspace of sum_i (I - P_i).
-    """
-    if not spaces:
-        raise ValueError("need at least one subspace")
-    ambient = spaces[0].ambient_dim
-    acc = np.zeros((ambient, ambient), dtype=np.complex128)
-    for s in spaces:
-        if s.ambient_dim != ambient:
-            raise ShapeMismatch("ambient dimensions differ")
-        acc += np.eye(ambient) - s.projector()
-    vals, vecs = herm_eig(acc, tol)
-    keep = vals < tol.tol_rank * max(float(vals[0]) if vals.size else 0.0, 1.0)
-    return Subspace(ambient, phase_fix(vecs[:, keep]))

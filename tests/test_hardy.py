@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,8 +72,15 @@ def test_build_space_dims_and_order():
 
 
 def test_build_space_overflow_and_bad_args():
-    with pytest.raises(DimensionOverflow):
-        build_space(2, 2, 1, cap=8)
+    # D = 1001^2 = 1,002,001 > DIMENSION_CAP, refused before the exponent box exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow):
+            build_space(2, 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
     with pytest.raises(ValueError):
         build_space(0, 2, 1)
 

@@ -9,7 +9,6 @@ from polydisc.linalg import (
     Tolerances,
     containment_residual,
     herm_eig,
-    intersect_subspaces,
     loewner_leq,
     null_space,
     phase_fix,
@@ -159,16 +158,6 @@ def test_projector_residual_and_complement():
     assert projector_residual(u, u) == pytest.approx(0.0, abs=1e-14)
     assert projector_residual(u, v) == pytest.approx(1.0, abs=1e-12)
     assert projector_residual(u, w) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_intersect_subspaces():
-    eye = np.eye(4, dtype=np.complex128)
-    u = Subspace(4, eye[:, :3])
-    v = Subspace(4, eye[:, 1:])
-    cap = intersect_subspaces([u, v])
-    assert cap.dim == 2
-    expected = Subspace(4, eye[:, 1:3])
-    assert projector_residual(cap, expected) < 1e-10
 
 
 def test_containment_residual_detects_escape():
