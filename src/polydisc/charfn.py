@@ -78,20 +78,22 @@ def _resolvent_gate(t: CTuple, w: np.ndarray) -> None:
 
 def _eval_core(t: CTuple, lead, w: np.ndarray, h_cols: np.ndarray) -> np.ndarray:
     """prod_k (I-w_k T_k^*)^{-1} sum_j (w_j - T_j) prod_{i!=j} (I-w_i T_i^*)
-    applied to each column of h_cols (shape nd x m) at each point of the
-    (P, n) stack w, then multiplied on the left by each matrix of ``lead`` in
-    turn (D_{T*} first); returns shape (P, rows of lead[-1], m).  The stack
-    is walked in chunks within STACK_BYTE_BUDGET, with one batched solve per
-    variable and chunk."""
-    d, m = t.dim, h_cols.shape[1]
+    applied to each column of h_cols at each point of the (P, n) stack w,
+    then multiplied on the left by each matrix of ``lead`` in turn (D_{T*}
+    first); returns shape (P, rows of lead[-1], m).  h_cols is shared by
+    every point (shape nd x m) or given per point (shape P x nd x m).  The
+    stack is walked in chunks within STACK_BYTE_BUDGET, with one batched
+    solve per variable and chunk."""
+    d, m = t.dim, h_cols.shape[-1]
     _resolvent_gate(t, w)
     out = np.empty((len(w), lead[-1].shape[0], m), dtype=np.complex128)
     for chunk in stack_chunks(len(w), 16 * d * (t.n * d + 3 * m)):
         wc = w[chunk]
+        hc = h_cols if h_cols.ndim == 2 else h_cols[chunk]
         factors = [_resolvent_factor(t, k, wc[:, k]) for k in range(t.n)]
         total = np.zeros((len(wc), d, m), dtype=np.complex128)
         for j in range(t.n):
-            u = h_cols[j * d : (j + 1) * d]
+            u = hc[..., j * d : (j + 1) * d, :]
             for i in range(t.n):
                 if i != j:
                     u = factors[i] @ u
@@ -104,19 +106,27 @@ def _eval_core(t: CTuple, lead, w: np.ndarray, h_cols: np.ndarray) -> np.ndarray
     return out
 
 
-def eval_raw(t: CTuple, w, h_tilde) -> np.ndarray:
-    """The characteristic-function formula applied to one h in C^{nd}.
+def _point_and_h_stacks(t: CTuple, w, h_tilde) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The (P, n) point stack of w, the (P, nd) stack of h~ that goes with it
+    (nd entries for one point), and whether w was one point."""
+    w, single = point_stack(w, t.n)
+    h = as_complex(h_tilde).reshape(1, -1) if single else as_complex(h_tilde)
+    if h.shape != (len(w), t.n * t.dim):
+        raise ShapeMismatch(f"h~ has shape {h.shape}, expected {(len(w), t.n * t.dim)}")
+    return w, h, single
 
-    Returns Theta_T(w) D_T h as a vector in C^d, computed by linear solves
-    (one per variable).  Needs the tuple to be Szego so that the first-kind
-    defect root exists; Beurling is not required.
+
+def eval_raw(t: CTuple, w, h_tilde) -> np.ndarray:
+    """Theta_T(w) D_T h~ by linear solves (one per variable): a vector in C^d
+    for a point w of shape (n,) and h~ in C^{nd}, or shape (P, d) for a
+    stack w of shape (P, n) and an h~ stack of shape (P, nd).  Needs the
+    tuple to be Szego so that the first-kind defect root exists; Beurling
+    is not required.
     """
-    w, _ = point_stack(np.ravel(w), t.n)
-    h = as_complex(h_tilde).reshape(-1, 1)
-    if h.shape[0] != t.n * t.dim:
-        raise ShapeMismatch(f"h~ has length {h.shape[0]}, expected {t.n * t.dim}")
+    w, h, single = _point_and_h_stacks(t, w, h_tilde)
     root, _ = defect_first_kind(t)
-    return _eval_core(t, (root,), w, h)[0, :, 0]
+    out = _eval_core(t, (root,), w, h[:, :, None])[:, :, 0]
+    return out[0] if single else out
 
 
 def eval_onevar(t: CTuple, w) -> np.ndarray:
@@ -150,33 +160,35 @@ def eval_onevar(t: CTuple, w) -> np.ndarray:
 
 def _blaschke_apply(t: CTuple, outer: int, inner: int, z: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(I - z_outer T_outer^*)^{-1} b_{T_inner}(z_inner) (I - z_outer T_outer^*) h
-    at the point z, a (1, 2) stack that has passed the resolvent gate."""
-    f_out = _resolvent_factor(t, outer, z[:, outer])[0]
-    f_in = _resolvent_factor(t, inner, z[:, inner])[0]
+    at each point of the (P, 2) stack z, which has passed the resolvent
+    gate, with h of shape (P, d, 1)."""
+    f_out = _resolvent_factor(t, outer, z[:, outer])
+    f_in = _resolvent_factor(t, inner, z[:, inner])
     v = f_out @ h
-    v = z[0, inner] * v - t[inner] @ v
-    v = np.linalg.solve(f_in, v)
-    return np.linalg.solve(f_out, v)
+    v = _scale(z[:, inner], v) - t[inner] @ v
+    return np.linalg.solve(f_out, np.linalg.solve(f_in, v))
 
 
 def eval_pair_blaschke(t: CTuple, z, h_tilde) -> np.ndarray:
     """Pair form: D_{T*}( b_{(T1,T2)}(z1,z2) h2 + b_{(T2,T1)}(z2,z1) h1 ).
 
     Agrees with eval_raw identically (the resolvent factors commute); the
-    closed form makes the operator Blaschke structure explicit.
+    closed form makes the operator Blaschke structure explicit.  Takes the
+    shapes of eval_raw: one point with one h~, or a (P, 2) stack with a
+    (P, 2d) stack of h~, walked in chunks within STACK_BYTE_BUDGET.
     """
     if t.n != 2:
         raise BadIndex(f"pair form needs n=2, got n={t.n}")
-    z, _ = point_stack(np.ravel(z), t.n)
-    h = as_complex(h_tilde).ravel()
-    if h.size != 2 * t.dim:
-        raise ShapeMismatch(f"h~ has length {h.size}, expected {2 * t.dim}")
-    h1, h2 = h[: t.dim], h[t.dim :]
+    z, h, single = _point_and_h_stacks(t, z, h_tilde)
+    d = t.dim
     root, _ = defect_first_kind(t)
     _resolvent_gate(t, z)
-    part2 = _blaschke_apply(t, 0, 1, z, h2)
-    part1 = _blaschke_apply(t, 1, 0, z, h1)
-    return root @ (part2 + part1)
+    out = np.empty((len(z), d), dtype=np.complex128)
+    for chunk in stack_chunks(len(z), 16 * d * (2 * d + 4)):
+        part2 = _blaschke_apply(t, 0, 1, z[chunk], h[chunk, d:, None])
+        part1 = _blaschke_apply(t, 1, 0, z[chunk], h[chunk, :d, None])
+        out[chunk] = (root @ (part2 + part1))[:, :, 0]
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)

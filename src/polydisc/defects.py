@@ -67,7 +67,7 @@ def truncated_defect(t: CTuple, j: int, p) -> np.ndarray:
     acc = classical_defect_sq(t[j])
     for k in sorted(pset):
         acc = acc - delta_map(t[k], acc)
-    return hermitian_part(acc)[0]
+    return hermitian_part(acc)
 
 
 def full_truncated_defect(t: CTuple, j: int) -> np.ndarray:
@@ -110,17 +110,11 @@ class JointDefect:
     herm_residual: float
 
 
-def _assemble_blocks(diag_blocks, off_block) -> tuple[np.ndarray, float]:
+def _assemble_blocks(diag_blocks, off_block) -> np.ndarray:
+    """The n x n block matrix with diag_blocks[i] on the diagonal and
+    off_block(i, j) off it."""
     n = len(diag_blocks)
-    d = diag_blocks[0].shape[0]
-    big = np.zeros((n * d, n * d), dtype=np.complex128)
-    for i in range(n):
-        big[i * d : (i + 1) * d, i * d : (i + 1) * d] = diag_blocks[i]
-        for j in range(n):
-            if i != j:
-                big[i * d : (i + 1) * d, j * d : (j + 1) * d] = off_block(i, j)
-    herm, resid = hermitian_part(big)
-    return herm, resid
+    return np.block([[diag_blocks[i] if i == j else off_block(i, j) for j in range(n)] for i in range(n)])
 
 
 def joint_defect(t: CTuple, mask=None) -> JointDefect:
@@ -135,7 +129,8 @@ def joint_defect(t: CTuple, mask=None) -> JointDefect:
         (i, j): _apply_mask(mask, joint_commutator(t, i, j))
         for i, j in itertools.permutations(range(t.n), 2)
     }
-    herm, resid = _assemble_blocks(diag, lambda i, j: deltas[(i, j)])
+    big = _assemble_blocks(diag, lambda i, j: deltas[(i, j)])
+    herm = hermitian_part(big)
     vals, _ = herm_eig(herm, t.tol)
     min_eig = float(vals[-1])
     try:
@@ -143,7 +138,7 @@ def joint_defect(t: CTuple, mask=None) -> JointDefect:
         space = range_basis(herm, t.tol, floor=1.0)
     except NotPSD:
         root, space = None, None
-    return JointDefect(herm, root, space, min_eig, resid)
+    return JointDefect(herm, root, space, min_eig, spec_norm(big - herm))
 
 
 def commutator_defect(t: CTuple, mask=None) -> tuple[np.ndarray, float]:
@@ -154,7 +149,7 @@ def commutator_defect(t: CTuple, mask=None) -> tuple[np.ndarray, float]:
     def off(i, j):
         return _apply_mask(mask, t[j] @ t[i].conj().T - t[i].conj().T @ t[j])
 
-    herm, _ = _assemble_blocks(diag, off)
+    herm = hermitian_part(_assemble_blocks(diag, off))
     vals, _ = herm_eig(herm, t.tol)
     return herm, float(vals[-1])
 

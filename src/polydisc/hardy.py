@@ -599,26 +599,30 @@ def quotient_mask(model: QuotientModel, shrink: int = 0) -> np.ndarray:
     return mask
 
 
-def wandering_subspace(model: QuotientModel, p, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """W_P: the part of the submodule orthogonal to z_i S for all i in P.
+def wandering_subspaces(model: QuotientModel, tol: Tolerances = DEFAULT_TOL) -> dict[tuple, Subspace]:
+    """W_P, the part of the submodule orthogonal to z_i S for all i in P, for
+    every nonempty index set P (keyed by its ascending tuple).
 
     A vector S y lies in W_P iff sum_{i in P} ||R_i^H S y||^2 = 0, with R_i a
     range basis of M_i S; so W_P is S times the numerical null eigenspace of
-    G = sum_i C_i^H C_i, C_i = R_i^H S, a matrix of the size of dim S.
+    G = sum_i C_i^H C_i, C_i = R_i^H S, a matrix of the size of dim S.  Each
+    term C_i^H C_i is formed once and summed in ascending i.
     """
-    pset = sorted(set(int(i) for i in p))
-    if not pset:
-        raise BadIndex("wandering subspace needs a nonempty index set")
-    if any(not 0 <= i < model.space.n for i in pset):
-        raise BadIndex(f"index set {pset} out of range for n={model.space.n}")
-    s = model.submodule_basis.basis
-    gram = np.zeros((s.shape[1], s.shape[1]), dtype=np.complex128)
-    for i in pset:
+    s, n = model.submodule_basis.basis, model.space.n
+    terms = []
+    for i in range(n):
         c = range_basis(shift_apply(model.space, i, s), tol).basis.conj().T @ s
-        gram += c.conj().T @ c
-    vals, vecs = herm_eig(gram, tol)
-    keep = vals < tol.tol_rank * max(vals.max(initial=0.0), 1.0)
-    return Subspace(model.space.dim, phase_fix(s @ vecs[:, keep]))
+        terms.append(c.conj().T @ c)
+    out = {}
+    for size in range(1, n + 1):
+        for p in itertools.combinations(range(n), size):
+            gram = np.zeros((s.shape[1], s.shape[1]), dtype=np.complex128)
+            for i in p:
+                gram += terms[i]
+            vals, vecs = herm_eig(gram, tol)
+            keep = vals < tol.tol_rank * max(vals.max(initial=0.0), 1.0)
+            out[p] = Subspace(model.space.dim, phase_fix(s @ vecs[:, keep]))
+    return out
 
 
 def masked_span(vectors, keep: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -769,11 +773,7 @@ def structural_checks(
     # only when its degree overflows the box), so wandering readings mask
     # at the full window, not the shrunk one; shrinking further would
     # erase generators whose degree equals the symbol reach.
-    wander = {
-        p: wandering_subspace(model, p, tol)
-        for size in range(1, n + 1)
-        for p in itertools.combinations(range(n), size)
-    }
+    wander = wandering_subspaces(model, tol)
     w_masked = masked_span(wander[tuple(range(n))].basis, keep0, tol)
     w = w_masked.basis
     dims["wandering"] = w_masked.dim

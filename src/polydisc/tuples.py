@@ -142,7 +142,7 @@ def szego_inverse(t: CTuple) -> np.ndarray:
     for k in itertools.product((0, 1), repeat=t.n):
         p = _power(t.matrices, k)
         acc += (-1) ** sum(k) * p @ p.conj().T
-    return hermitian_part(acc)[0]
+    return hermitian_part(acc)
 
 
 def is_szego(t: CTuple) -> tuple[bool, float]:
@@ -175,7 +175,7 @@ def defect_first_kind(t: CTuple) -> tuple[np.ndarray, Subspace]:
 def classical_defect_sq(x) -> np.ndarray:
     """I - X^H X (pass X^H to get the adjoint version I - X X^H)."""
     x = np.atleast_2d(as_complex(x))
-    return hermitian_part(np.eye(x.shape[0]) - x.conj().T @ x)[0]
+    return hermitian_part(np.eye(x.shape[0]) - x.conj().T @ x)
 
 
 def classical_defect(x, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, Subspace]:

@@ -2,7 +2,9 @@
 
 The references below are the loops CharFn.eval, eval_symbol and the
 torus-grid inner check used to run one point at a time.  A stack must give
-the same bits as its points taken one by one, whatever the chunking.
+the same bits as its points taken one by one, whatever the chunking; so
+must eval_raw and eval_pair_blaschke on a point stack paired with a stack
+of h vectors.
 """
 
 import dataclasses
@@ -17,9 +19,18 @@ from hypothesis import strategies as st
 import polydisc.hardy
 import polydisc.linalg
 import polydisc.tuples
-from polydisc.charfn import RESOLVENT_COND_LIMIT, build_charfn, coincidence_from_unitary, eval_onevar, inner_residual
+from polydisc.battery import _pair_form_gaps
+from polydisc.charfn import (
+    RESOLVENT_COND_LIMIT,
+    build_charfn,
+    coincidence_from_unitary,
+    eval_onevar,
+    eval_pair_blaschke,
+    eval_raw,
+    inner_residual,
+)
 from polydisc.defects import build_defects
-from polydisc.errors import NotUnitary, SingularResolvent, SymbolNotInner
+from polydisc.errors import NotUnitary, ShapeMismatch, SingularResolvent, SymbolNotInner
 from polydisc.hardy import (
     InnerSymbol,
     blaschke_symbol,
@@ -38,8 +49,8 @@ from polydisc.hardy import (
     unitary_symbol,
 )
 from polydisc.linalg import STACK_BYTE_BUDGET, spec_norm, spec_norms
-from polydisc.sampling import random_pure_contraction, random_unitary
-from polydisc.tuples import classify, is_beurling, is_pure, is_szego, validate
+from polydisc.sampling import random_commuting_tuple, random_nodes, random_pure_contraction, random_unitary
+from polydisc.tuples import CTuple, classify, is_beurling, is_pure, is_szego, szego_tuple_from_nodes, validate
 
 # (degree, symbol) of windowed quotient models whose tuples have dim <= 6;
 # the block-diagonal ones give 2 x 2 characteristic functions
@@ -233,6 +244,102 @@ def test_singular_point_raises_first_failure_of_the_loop():
     with pytest.raises(SingularResolvent) as first_var:
         g.eval(w[3:])  # both factors singular at one point: variable 0 first
     assert first_var.value.k == 0
+
+
+def sample_pair(kind: int, seed: int, dim: int):
+    """A Szego pair of size dim: exactly commuting contractions (kind 0) or
+    the compression tuple of dim kernel nodes (kind 1), as in c04."""
+    rng = np.random.default_rng(seed)
+    if kind == 0:
+        return validate(random_commuting_tuple(rng, 2, dim, norm_max=0.65))
+    return szego_tuple_from_nodes(random_nodes(rng, dim, 2))
+
+
+def random_h(rng, count: int, t) -> np.ndarray:
+    return rng.standard_normal((count, 2 * t.dim)) + 1j * rng.standard_normal((count, 2 * t.dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.integers(0, 1), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       count=st.integers(1, 12), pool=st.integers(1, 4))
+def test_pair_forms_stack_equal_points(kind, seed, dim, count, pool):
+    t = sample_pair(kind, seed, dim)
+    rng = np.random.default_rng(seed + 1)
+    z = repeated_points(rng, count, 2, pool, radius=0.9)
+    h = random_h(rng, count, t)
+    for fn in (eval_raw, eval_pair_blaschke):
+        stack = fn(t, z, h)
+        assert stack.shape == (count, dim)
+        for p in range(count):
+            np.testing.assert_array_equal(stack[p], fn(t, z[p], h[p]))
+
+
+def test_pair_forms_stack_longer_than_a_chunk(monkeypatch):
+    t = sample_pair(0, 3, 4)
+    rng = np.random.default_rng(8)
+    z, h = repeated_points(rng, 30, 2, 6), random_h(rng, 30, t)
+    whole = [eval_raw(t, z, h), eval_pair_blaschke(t, z, h)]
+    monkeypatch.setattr(polydisc.linalg, "STACK_BYTE_BUDGET", 1000)  # a few points per chunk
+    np.testing.assert_array_equal(eval_raw(t, z, h), whole[0])
+    np.testing.assert_array_equal(eval_pair_blaschke(t, z, h), whole[1])
+
+
+def test_pair_forms_h_stack_must_match_points():
+    t = sample_pair(1, 2, 3)
+    rng = np.random.default_rng(0)
+    z = repeated_points(rng, 5, 2, 5)
+    for fn in (eval_raw, eval_pair_blaschke):
+        with pytest.raises(ShapeMismatch):
+            fn(t, z, random_h(rng, 4, t))  # one h short
+        with pytest.raises(ShapeMismatch):
+            fn(t, z, random_h(rng, 6, t))  # one h too many
+        with pytest.raises(ShapeMismatch):
+            fn(t, z[:1], random_h(rng, 1, t)[0])  # a stack of one point takes a stack of h
+
+
+def test_pair_forms_raise_first_failure_of_the_loop():
+    """Diagonal contractions with known eigenvalues: the factor of variable k
+    is singular where z_k is 1/conj(lambda)."""
+    lam = np.array([[0.9, 0.5, -0.2], [0.1j, -0.8, 0.5]])
+    t = validate([np.diag(x) for x in lam])
+    regular = [0.3, -0.2j]
+    z = np.array([regular, regular, [0.2, 1 / np.conj(lam[1, 1])], [1 / lam[0, 0], 1 / np.conj(lam[1, 1])]])
+    h = random_h(np.random.default_rng(1), len(z), t)
+    for fn in (eval_raw, eval_pair_blaschke):
+        with pytest.raises(SingularResolvent) as loop:
+            [fn(t, zp, hp) for zp, hp in zip(z, h)]
+        with pytest.raises(SingularResolvent) as stack:
+            fn(t, z, h)
+        assert (stack.value.k, stack.value.cond) == (loop.value.k, loop.value.cond) == (1, loop.value.cond)
+        with pytest.raises(SingularResolvent) as first_var:
+            fn(t, z[3:], h[3:])  # both factors singular at one point: variable 0 first
+        assert first_var.value.k == 0
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+def test_pair_form_gaps_match_the_point_loop(kind):
+    """c04 draws z, then h, point by point, as its per-point loop did, and
+    reads the same norms from one stacked call of each form."""
+    t = sample_pair(kind, 11, 4)
+    rng = np.random.default_rng(12)
+    loop = []
+    for _ in range(20):
+        z = 0.9 * rng.random(2) * np.exp(2j * np.pi * rng.random(2))
+        h = rng.standard_normal(2 * t.dim) + 1j * rng.standard_normal(2 * t.dim)
+        loop.append(float(np.linalg.norm(eval_raw(t, z, h) - eval_pair_blaschke(t, z, h))))
+    assert _pair_form_gaps(t, np.random.default_rng(12)) == loop
+
+
+def test_pair_identity_fails_for_a_noncommuting_pair():
+    """The two forms agree only because the resolvent factors commute: a
+    non-commuting pair with a PSD Szego inverse (built past validate) takes
+    the batched c04 difference over its unchanged 1e-11 gate."""
+    rng = np.random.default_rng(6)
+    a, b = (0.4 * random_pure_contraction(rng, 3, norm_max=1.0) for _ in range(2))
+    assert spec_norm(a @ b - b @ a) > 1e-3
+    t = CTuple(2, 3, (a, b))
+    assert max(_pair_form_gaps(t, np.random.default_rng(42))) > 1e-11
+    assert max(_pair_form_gaps(sample_pair(0, 6, 3), np.random.default_rng(42))) < 1e-11
 
 
 def test_inner_check_memory_stays_within_budget():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import polydisc.hardy
 from polydisc.errors import (
     BadIndex,
     DimensionOverflow,
@@ -40,7 +41,7 @@ from polydisc.hardy import (
     symbol_to_json,
     torus_grid,
     unitary_symbol,
-    wandering_subspace,
+    wandering_subspaces,
 )
 from polydisc.linalg import Subspace, containment_residual, projector_residual, range_basis, spec_norm
 from polydisc.tuples import classical_defect_sq
@@ -325,7 +326,7 @@ def test_wandering_subspace_examples():
     n_deg = 5
     s = build_space(2, n_deg, 1)
     m = quotient_model(s, monomial_symbol(2, (1, 0)))
-    w = wandering_subspace(m, [0, 1])
+    w = wandering_subspaces(m)[(0, 1)]
     zvec = np.zeros((s.dim, 1), dtype=complex)
     zvec[s.position((1, 0), 0), 0] = 1.0
     masked = masked_span(w.basis, row_mask(s, n_deg - 2))
@@ -333,7 +334,7 @@ def test_wandering_subspace_examples():
     assert containment_residual(zvec, masked) <= 1e-10
 
     mu = quotient_model(s_small := build_space(2, 3, 2), unitary_symbol(2, np.eye(2)))
-    w_const = wandering_subspace(mu, [0, 1])
+    w_const = wandering_subspaces(mu)[(0, 1)]
     assert w_const.dim == 2  # the constants of the coefficient space
     consts = np.zeros((s_small.dim, 2), dtype=complex)
     consts[s_small.position((0, 0), 0), 0] = 1.0
@@ -341,7 +342,7 @@ def test_wandering_subspace_examples():
     assert projector_residual(w_const, Subspace(s_small.dim, consts)) <= 1e-10
 
     mzz = quotient_model(s, monomial_symbol(2, (1, 1)))
-    w1 = wandering_subspace(mzz, [0])
+    w1 = wandering_subspaces(mzz)[(0,)]
     window = row_mask(s, n_deg - 2)
     got = masked_span(w1.basis, window)
     expected_cols = []
@@ -351,8 +352,28 @@ def test_wandering_subspace_examples():
         expected_cols.append(v)
     expected = masked_span(np.array(expected_cols).T, window)
     assert projector_residual(got, expected) <= 1e-10
-    with pytest.raises(BadIndex):
-        wandering_subspace(m, [])
+    assert list(wandering_subspaces(m)) == [(0,), (1,), (0, 1)]  # every nonempty index set
+
+
+@pytest.mark.parametrize("n, degree, exponent", [(2, 4, (2, 1)), (3, 3, (1, 1, 1))])
+def test_wandering_subspaces_take_one_range_basis_per_variable(monkeypatch, n, degree, exponent):
+    """range_basis(M_i S) is taken once per variable, not once per index set
+    that contains i (n * 2^(n-1) times), and structural_checks builds the
+    wandering subspaces once per model."""
+    model = quotient_model(build_space(n, degree, 1), monomial_symbol(n, exponent))
+    calls = {"range_basis": 0, "wandering_subspaces": 0}
+    for name in calls:
+        original = getattr(polydisc.hardy, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(polydisc.hardy, name, counted)
+    polydisc.hardy.wandering_subspaces(model)
+    assert calls == {"range_basis": n, "wandering_subspaces": 1}
+    assert structural_checks(model).passed
+    assert calls["wandering_subspaces"] == 2
 
 
 @pytest.mark.parametrize(

@@ -67,6 +67,26 @@ def test_herm_eig_rejects_nonhermitian_and_nonsquare():
         herm_eig(np.zeros((2, 3)))
 
 
+def test_herm_eig_symmetry_check_only_off_the_exact_hermitian_part(monkeypatch):
+    """An exactly Hermitian input skips the two norms of the symmetry check;
+    any other input is still judged by them, so a non-Hermitian one raises."""
+    rng = np.random.default_rng(3)
+    a = random_hermitian(rng, 5)
+    assert np.array_equal(linalg.hermitian_part(a), a)
+    calls = []
+    monkeypatch.setattr(linalg, "spec_norm", lambda x: calls.append(x) or spec_norm(x))
+    vals, _ = herm_eig(a)
+    assert calls == []
+    np.testing.assert_array_equal(vals, np.linalg.eigh(a)[0][::-1])
+    near = a.copy()
+    near[0, 1] += 1e-13  # inside the 1e-10 gate: decomposed as its Hermitian part
+    np.testing.assert_array_equal(herm_eig(near)[0], herm_eig(linalg.hermitian_part(near))[0])
+    assert len(calls) == 2
+    for bad in (a + 1e-6j * np.eye(5), a + np.triu(np.full((5, 5), 1e-3), 1)):
+        with pytest.raises(NotHermitian):
+            herm_eig(bad)
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(2)
     for n in (1, 3, 6):

@@ -22,7 +22,7 @@ from polydisc.hardy import (
     shift_apply,
     structural_checks,
     unitary_symbol,
-    wandering_subspace,
+    wandering_subspaces,
 )
 from polydisc.linalg import DEFAULT_TOL, Subspace, herm_eig, null_space, projector_residual, spec_norm
 
@@ -99,11 +99,13 @@ def hardy_model_shapes():
 @pytest.mark.parametrize("degree, sym", hardy_model_shapes())
 def test_wandering_subspace_matches_dense_intersection(degree, sym):
     model = quotient_model(build_space(sym.n, degree, sym.output_dim), sym)
-    for size in range(1, sym.n + 1):
-        for pset in itertools.combinations(range(sym.n), size):
-            got, ref = wandering_subspace(model, pset), dense_wandering(model, pset)
-            assert got.dim == ref.dim
-            assert dense_distance(got, ref) <= 1e-10
+    wander = wandering_subspaces(model)
+    subsets = [p for size in range(1, sym.n + 1) for p in itertools.combinations(range(sym.n), size)]
+    assert list(wander) == subsets
+    for pset in subsets:
+        got, ref = wander[pset], dense_wandering(model, pset)
+        assert got.dim == ref.dim
+        assert dense_distance(got, ref) <= 1e-10
 
 
 def dense_leak(model, i):

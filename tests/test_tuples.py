@@ -107,7 +107,7 @@ def szego_inverse_iterated(t):
     acc = np.eye(t.dim, dtype=np.complex128)
     for m in t.matrices:
         acc = acc - m @ acc @ m.conj().T
-    return hermitian_part(acc)[0]
+    return hermitian_part(acc)
 
 
 def test_szego_closed_equals_iterated():
