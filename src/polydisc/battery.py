@@ -98,7 +98,7 @@ def onevar_reduction(seed: int) -> list[CheckResult]:
         f = build_charfn(t)
         w = np.array([_interior_point(rng, 1) for _ in range(25)])
         general = f.eval(w)
-        closed = eval_onevar(t, w)
+        closed = eval_onevar(f, w)
         # both builders fix the same defect bases, so the aligning
         # unitaries are identities; singular values cross-check that
         diff = np.max(spec_norms(general - closed))

@@ -28,8 +28,6 @@ from .hardy import torus_grid  # noqa: F401  (re-exported: the grids of inner_re
 from .linalg import (
     Subspace,
     as_complex,
-    psd_sqrt,
-    range_basis,
     spec_norm,
     spec_norms,
     stack_chunks,
@@ -129,13 +127,14 @@ def eval_raw(t: CTuple, w, h_tilde) -> np.ndarray:
     return out[0] if single else out
 
 
-def eval_onevar(t: CTuple, w) -> np.ndarray:
+def eval_onevar(f: CharFn, w) -> np.ndarray:
     """One-variable closed form [-T + w D_{T*}(I-wT*)^{-1} D_T] on the defect
     spaces, as a matrix from the D_T basis to the D_{T*} basis.
 
-    w is a point of shape (1,) or a stack of shape (P, 1) (hardy.point_stack);
-    the defect roots and bases are built once per call.
+    w is a point of shape (1,) or a stack of shape (P, 1) (hardy.point_stack).
+    D_T and D_{T*} (for n = 1 the first-kind defect) come from f.defects.
     """
+    t = f.tuple
     if t.n != 1:
         raise BadIndex(f"one-variable form needs n=1, got n={t.n}")
     pure, radii = is_pure(t)
@@ -143,13 +142,8 @@ def eval_onevar(t: CTuple, w) -> np.ndarray:
         raise NotPure(f"spectral radius {max(radii)} too close to 1")
     w, single = point_stack(w, t.n)
     mat = t[0]
-    eye = np.eye(t.dim, dtype=np.complex128)
-    sq = eye - mat.conj().T @ mat
-    sq_star = eye - mat @ mat.conj().T
-    root = psd_sqrt(sq, t.tol)
-    root_star = psd_sqrt(sq_star, t.tol)
-    basis = range_basis(sq, t.tol, floor=1.0)
-    basis_star = range_basis(sq_star, t.tol, floor=1.0)
+    root, basis = f.defects.classical[0]
+    root_star, basis_star = f.defects.first_kind
     _resolvent_gate(t, w)
     f = _resolvent_factor(t, 0, w[:, 0])
     roots = np.broadcast_to(root, f.shape)

@@ -135,7 +135,7 @@ def joint_defect(t: CTuple, mask=None) -> JointDefect:
     min_eig = float(vals[-1])
     try:
         root = psd_sqrt(herm, t.tol)
-        space = range_basis(herm, t.tol, floor=1.0)
+        space = range_basis(herm, t.tol)
     except NotPSD:
         root, space = None, None
     return JointDefect(herm, root, space, min_eig, spec_norm(big - herm))

@@ -130,7 +130,7 @@ def build_dilation(t: CTuple, degree: int | None = None) -> DilationData:
     space = build_space(t.n, n_deg, basis.dim)
 
     pi = (basis.basis.conj().T @ (root @ adjoint_powers(t, space))).reshape(space.dim, t.dim)
-    image = range_basis(pi, t.tol, floor=1.0)
+    image = range_basis(pi, t.tol)
     # certified bound on the dilation rows outside the truncation box
     tail = spec_norm(root) * coefficient_tail_sum(t, n_deg)
     return DilationData(t, space, n_deg, basis, pi, image, tail)
@@ -212,6 +212,6 @@ def image_invariance_defect(d: DilationData) -> float:
     for i in range(d.tuple.n):
         below = _below_top(d, i)[:, None]
         moved = shift_apply(d.space, i, d.image_basis.basis, adjoint=True) * below
-        target = range_basis(d.image_basis.basis * below, d.tuple.tol, floor=1.0)
+        target = range_basis(d.image_basis.basis * below, d.tuple.tol)
         worst = max(worst, containment_residual(moved, target))
     return worst

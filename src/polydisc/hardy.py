@@ -51,10 +51,14 @@ from .linalg import (
     range_basis,
     spec_norm,
     stack_chunks,
+    zero_cut,
 )
 from .tuples import CTuple, classical_defect_sq, complex_from_json, complex_to_json, validate
 
 DIMENSION_CAP = 10**6
+# Bytes of a model: its D x (monomials * input_dim) symbol matrix and the
+# D x D factor of the null-space SVD that every caller takes of its adjoint.
+HARDY_BYTE_BUDGET = 2**28
 
 
 @dataclass(frozen=True)
@@ -417,11 +421,16 @@ def symbol_matrix(space: HardySpace, sym: InnerSymbol) -> tuple[np.ndarray, tupl
     The domain space shares n and N with ``space`` but has coeff_dim =
     input_dim; ``space`` itself must have coeff_dim = output_dim.
     Returns (matrix, reach vector, certified coefficient tail bound).
+    Refuses, before anything is allocated, a model over HARDY_BYTE_BUDGET.
     """
     if space.coeff_dim != sym.output_dim:
         raise IncompatibleDims(
             f"space coeff_dim {space.coeff_dim} != symbol output_dim {sym.output_dim}"
         )
+    need = 16 * space.dim * (space.mono_count * sym.input_dim + space.dim)
+    if need > HARDY_BYTE_BUDGET:
+        raise DimensionOverflow(f"space dimension {space.dim} needs {need / 2**20:.0f} MiB for the symbol "
+                                f"matrix and its null space; budget {HARDY_BYTE_BUDGET / 2**20:.0f} MiB")
     coeffs, _, tail = symbol_taylor(sym, space.n, space.N)
     out = np.zeros((space.mono_count, sym.output_dim, space.mono_count, sym.input_dim), dtype=np.complex128)
     for beta, block in coeffs.items():
@@ -620,19 +629,15 @@ def wandering_subspaces(model: QuotientModel, tol: Tolerances = DEFAULT_TOL) -> 
             for i in p:
                 gram += terms[i]
             vals, vecs = herm_eig(gram, tol)
-            keep = vals < tol.tol_rank * max(vals.max(initial=0.0), 1.0)
+            keep = vals < zero_cut(vals.max(initial=0.0), tol.tol_rank)
             out[p] = Subspace(model.space.dim, phase_fix(s @ vecs[:, keep]))
     return out
 
 
 def masked_span(vectors, keep: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Range basis of the columns with the rows outside ``keep`` zeroed (the
-    windowed span of the vectors); ``keep`` is a boolean row mask.
-
-    The rank cut is floored at scale 1 so that columns whose windowed part
-    is pure roundoff do not promote the span.
-    """
-    return range_basis(np.atleast_2d(as_complex(vectors)) * keep[:, None], tol, floor=1.0)
+    windowed span of the vectors); ``keep`` is a boolean row mask."""
+    return range_basis(np.atleast_2d(as_complex(vectors)) * keep[:, None], tol)
 
 
 @dataclass(frozen=True)
@@ -724,7 +729,7 @@ def structural_checks(
 
     # Beurling equivalence battery on the defect operators of the model.
     defect_sqs = [mask1 @ classical_defect_sq(t[i]) @ mask1 for i in range(n)]
-    defect_spaces = [range_basis(d, tol, floor=1.0) for d in defect_sqs]
+    defect_spaces = [range_basis(d, tol) for d in defect_sqs]
     residuals["defects_annihilate"] = max(
         (
             spec_norm(mask2 @ defect_sqs[i] @ defect_sqs[j] @ mask2)
@@ -735,12 +740,7 @@ def structural_checks(
     iso = 0.0
     invar = 0.0
     for i, j in itertools.permutations(range(n), 2):
-        basis = mask2 @ defect_spaces[j].basis
-        norms = np.linalg.norm(basis, axis=0)
-        keep = norms > 1e-8
-        if not np.any(keep):
-            continue
-        basis = basis[:, keep] / norms[keep]
+        basis = mask2 @ defect_spaces[j].basis  # windowed orthonormal columns, read at scale 1
         gram = basis.conj().T @ (t[i].conj().T @ t[i]) @ basis
         iso = max(iso, spec_norm(gram - basis.conj().T @ basis))
         invar = max(invar, containment_residual(mask1 @ t[i] @ basis, defect_spaces[j]))
@@ -751,7 +751,7 @@ def structural_checks(
     rng_incl = 0.0
     for i, j in itertools.permutations(range(n), 2):
         delta = mask1 @ joint_commutator(t, i, j) @ mask1
-        target = range_basis(mask1 @ full_truncated_defect(t, i) @ mask1, tol, floor=1.0)
+        target = range_basis(mask1 @ full_truncated_defect(t, i) @ mask1, tol)
         if target.dim:
             rng_incl = max(rng_incl, containment_residual(delta, target))
         else:
@@ -763,8 +763,8 @@ def structural_checks(
     fs_formula = 0.0
     for j in range(n):
         pulled = mq[j].conj().T @ theta_cols
-        lhs = range_basis(mask1 @ (mask1 @ pulled), tol, floor=1.0)  # windowed span of windowed columns
-        rhs = range_basis(mask1 @ full_truncated_defect(t, j) @ mask1, tol, floor=1.0)
+        lhs = range_basis(mask1 @ (mask1 @ pulled), tol)  # windowed span of windowed columns
+        rhs = range_basis(mask1 @ full_truncated_defect(t, j) @ mask1, tol)
         fs_formula = max(fs_formula, projector_residual(lhs, rhs))
     residuals["truncated_defect_space_formula"] = fs_formula
 
@@ -820,12 +820,12 @@ def structural_checks(
     # Effective wandering subspace: the part reached from the quotient.
     x_cols = [(w.conj().T * keep0) @ mq[j] for j in range(n)]  # W^H K_0 M_j Q
     reached = np.hstack([w @ x for x in x_cols])
-    w_eff = range_basis(reached, tol, floor=1.0)
+    w_eff = range_basis(reached, tol)
     dims["wandering_effective"] = w_eff.dim
 
     # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q.
     jd = joint_defect(t, mask=mask1)
-    dims["joint_defect"] = range_basis(jd.matrix, tol, floor=1.0).dim
+    dims["joint_defect"] = range_basis(jd.matrix, tol).dim
     qd = model.quotient_dim
     gram = np.zeros((n * qd, n * qd), dtype=np.complex128)
     for i in range(n):

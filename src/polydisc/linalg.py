@@ -23,8 +23,8 @@ class Tolerances:
     """Shared tolerance policy.
 
     tol_structural: identity / symmetry residual scale.
-    tol_rank: relative singular-value cutoff for range bases.
-    tol_psd_clamp: relative window in which small negative eigenvalues of a
+    tol_rank: zero_cut tolerance of singular values and eigenvalues.
+    tol_psd_clamp: zero_cut window in which small negative eigenvalues of a
         nominally PSD matrix are clamped to zero; anything lower is an error.
     tol_pure: margin for the spectral-radius purity test.
     """
@@ -46,6 +46,15 @@ DEFAULT_TOL = Tolerances()
 # builds at once: the characteristic-function factors (charfn) and the symbol
 # values and Gram residuals of the torus-grid inner check (hardy).
 STACK_BYTE_BUDGET = 2**20
+
+
+def zero_cut(scale: float, tol: float) -> float:
+    """The one numerical-zero rule: a singular value, an eigenvalue or a
+    column norm at or below tol * max(scale, 1) is zero.  Operators built
+    from contractions have natural scale 1, so roundoff of a matrix that is
+    zero is never promoted to rank by a cut relative to its own noise
+    (numerical rank as in Golub and Van Loan, Matrix Computations)."""
+    return tol * max(scale, 1.0)
 
 
 @dataclass(frozen=True)
@@ -127,14 +136,13 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root with eigenvalue clamping.
 
-    Eigenvalues in [-tol_psd_clamp * ||A||, 0) are clamped to zero; anything
-    below that window raises NotPSD with the offending eigenvalue.
+    Eigenvalues in [-zero_cut(||A||, tol_psd_clamp), 0) are clamped to zero;
+    anything below that window raises NotPSD with the offending eigenvalue.
     """
     vals, vecs = herm_eig(a, tol)
     if vals.size == 0:
         return np.zeros_like(as_complex(a))
-    scale = max(float(vals[0]), -float(vals[-1]), 0.0)
-    clamp = tol.tol_psd_clamp * max(scale, 1e-300)
+    clamp = zero_cut(max(float(vals[0]), -float(vals[-1])), tol.tol_psd_clamp)
     min_eig = float(vals[-1])
     if min_eig < -clamp:
         raise NotPSD(f"min eigenvalue {min_eig:.3e} below clamp {-clamp:.3e}", min_eig)
@@ -161,35 +169,31 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def range_basis(a, tol: Tolerances = DEFAULT_TOL, floor: float = 0.0) -> Subspace:
+def range_basis(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Deterministic orthonormal basis of the numerical column space.
 
     Columns are left singular vectors ordered by descending singular value
     (for Hermitian PSD input this is descending eigenvalue order), keeping
-    sigma > tol_rank * max(sigma_max, floor), with phases fixed by
-    phase_fix.  The purely relative cut (floor 0) is scale free, but it
-    promotes matrices that are numerically zero yet not bit zero to rank
-    one or more; callers that know the natural scale of the input, such as
-    defect operators of contractions, should pass floor=1.0.
+    sigma > zero_cut(sigma_max, tol_rank), with phases fixed by phase_fix.
     """
     a = np.atleast_2d(as_complex(a))
     m = a.shape[0]
     if a.size == 0 or not np.any(a):
         return Subspace(m, np.zeros((m, 0), dtype=np.complex128))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol.tol_rank * max(s[0], floor)))
+    rank = int(np.sum(s > zero_cut(s[0], tol.tol_rank)))
     return Subspace(m, phase_fix(u[:, :rank]))
 
 
 def null_space(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the numerical null space of A."""
+    """Orthonormal basis of the numerical null space of A: the right singular
+    vectors whose singular value is zero by zero_cut(sigma_max, tol_rank)."""
     a = np.atleast_2d(as_complex(a))
     n = a.shape[1]
     if a.size == 0 or not np.any(a):
         return Subspace(n, np.eye(n, dtype=np.complex128))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = tol.tol_rank * s[0]
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > zero_cut(s[0], tol.tol_rank)))
     return Subspace(n, phase_fix(vh[rank:].conj().T))
 
 
@@ -223,16 +227,12 @@ def projector_residual(u: Subspace, v: Subspace) -> float:
 
 
 def containment_residual(vectors, space: Subspace) -> float:
-    """Largest distance of the given (unit-scaled) columns from a subspace.
+    """Largest distance ||x - Q (Q^H x)|| / max(||x||, 1) of the columns x
+    from a subspace, formed in the thin basis Q, never as a projector.
 
-    Columns with norm below 1e-14 are skipped; remaining columns are
-    normalized so the residual is an angle-like quantity in [0, 1].  The
-    residual x - Q (Q^H x) is formed for all kept columns at once, in the
-    thin basis Q, never as a projector.
-    """
+    At scale 1 a column of roundoff reads as roundoff; rescaled to unit
+    length its noise would grow by 1/||x|| and depend on the basis."""
     vectors = np.atleast_2d(as_complex(vectors))
-    norms = np.linalg.norm(vectors, axis=0)
-    keep = norms >= 1e-14
-    kept, q = vectors[:, keep], space.basis
-    resid = np.linalg.norm(kept - q @ (q.conj().T @ kept), axis=0)
-    return float((resid / norms[keep]).max(initial=0.0))
+    q = space.basis
+    resid = np.linalg.norm(vectors - q @ (q.conj().T @ vectors), axis=0)
+    return float((resid / np.maximum(np.linalg.norm(vectors, axis=0), 1.0)).max(initial=0.0))

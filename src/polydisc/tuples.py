@@ -101,11 +101,10 @@ def validate(matrices, tol: Tolerances = DEFAULT_TOL) -> CTuple:
         if m.ndim != 2 or m.shape != (dim, dim):
             raise ShapeMismatch(f"expected all matrices {dim}x{dim}, got {m.shape}")
     worst, pair = commutation_residual(mats)
-    scale = max(max(spec_norm(m) for m in mats), 1.0)
-    if pair is not None and worst > tol.tol_structural * scale:
+    norms = [spec_norm(m) for m in mats]
+    if pair is not None and worst > tol.tol_structural * max(max(norms), 1.0):
         raise NotCommuting(pair[0], pair[1], worst)
-    for i, m in enumerate(mats):
-        norm = spec_norm(m)
+    for i, norm in enumerate(norms):
         if norm > 1.0 + tol.tol_structural:
             raise NotContraction(i, norm)
     frozen = []
@@ -169,7 +168,7 @@ def defect_first_kind(t: CTuple) -> tuple[np.ndarray, Subspace]:
         root = psd_sqrt(s, t.tol)
     except NotPSD as exc:
         raise NotSzego(str(exc), exc.min_eig) from exc
-    return root, range_basis(s, t.tol, floor=1.0)
+    return root, range_basis(s, t.tol)
 
 
 def classical_defect_sq(x) -> np.ndarray:
@@ -186,7 +185,7 @@ def classical_defect(x, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, Subs
         raise NotContraction(0, norm)
     sq = classical_defect_sq(x)
     root = psd_sqrt(sq, tol)
-    return root, range_basis(sq, tol, floor=1.0)
+    return root, range_basis(sq, tol)
 
 
 def is_beurling(t: CTuple, mask=None) -> BeurlingVerdict:

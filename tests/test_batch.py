@@ -210,11 +210,11 @@ def test_charfn_symbol_grid_equals_points(case):
 def test_onevar_stack_equals_points():
     rng = np.random.default_rng(4)
     for dim in (1, 2, 5):
-        t = validate([random_pure_contraction(rng, dim)])
+        f = build_charfn(validate([random_pure_contraction(rng, dim)]))
         w = repeated_points(rng, 9, 1, 3)
-        stack = eval_onevar(t, w)
+        stack = eval_onevar(f, w)
         for p in range(len(w)):
-            np.testing.assert_array_equal(stack[p], eval_onevar(t, w[p]))
+            np.testing.assert_array_equal(stack[p], eval_onevar(f, w[p]))
 
 
 def test_stack_longer_than_a_chunk(monkeypatch):

@@ -137,16 +137,16 @@ def test_onevar_matches_general():
         f = build_charfn(t)
         for _ in range(10):
             w = 0.9 * rng.random() * np.exp(2j * np.pi * rng.random())
-            diff = spec_norm(f.eval([w]) - eval_onevar(t, [w]))
+            diff = spec_norm(f.eval([w]) - eval_onevar(f, [w]))
             assert diff < 1e-12
 
 
 def test_onevar_gates():
-    pair, _ = masked_zero_shift_pair(3)
+    pair, mask = masked_zero_shift_pair(3)
     with pytest.raises(BadIndex):
-        eval_onevar(pair, [0.1, 0.2])
+        eval_onevar(build_charfn(pair, build_defects(pair, mask)), [0.1, 0.2])
     with pytest.raises(NotPure):
-        eval_onevar(validate([np.eye(1)]), [0.5])
+        eval_onevar(build_charfn(validate([np.eye(1)])), [0.5])
 
 
 def test_pair_identity_random_pairs():
@@ -333,3 +333,16 @@ def test_charfn_symbol_round_trip_one_zero():
     assert model.quotient_dim == 1
     mt = model_tuple(model, DEFAULT_TOL)
     assert abs(mt[0][0, 0] - a) < 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conjugated_zero_defect_model_builds(seed):
+    # the windowed joint defect of this model is 0; conjugated, it is 0 up to
+    # roundoff (norm ~1e-15, eigenvalues down to -4.5e-16), which the PSD
+    # clamp window at scale 1 reads as zero
+    model = quotient_model(build_space(2, 1, 1), monomial_symbol(2, (1, 1)))
+    mt = model_tuple(model)
+    sigma = random_unitary(np.random.default_rng(seed), mt.dim)
+    t = validate([sigma @ m @ sigma.conj().T for m in mt])
+    f = build_charfn(t, build_defects(t, sigma @ quotient_mask(model) @ sigma.conj().T))
+    assert (f.input_dim, f.output_dim) == (0, 1)

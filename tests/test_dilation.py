@@ -154,7 +154,7 @@ def full_box_minimality(d):
                 cols[r * p : (r + 1) * p, b * dim : (b + 1) * dim] = blocks[a]
     window = np.repeat([max(k) <= d.degree - 1 for k in space.exponents], p)
     cols[~window] = 0.0
-    span = range_basis(cols, d.tuple.tol, floor=1.0)
+    span = range_basis(cols, d.tuple.tol)
     targets = np.eye(space.dim, dtype=np.complex128)[:, window]
     resid = targets - span.basis @ span.basis.conj().T[:, window]
     return float(np.linalg.norm(resid, axis=0).max(initial=0.0))

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -43,7 +45,8 @@ from polydisc.hardy import (
     unitary_symbol,
     wandering_subspaces,
 )
-from polydisc.linalg import Subspace, containment_residual, projector_residual, range_basis, spec_norm
+from polydisc.cli import main
+from polydisc.linalg import Subspace, containment_residual, phase_fix, projector_residual, range_basis, spec_norm
 from polydisc.tuples import classical_defect_sq
 
 
@@ -484,3 +487,48 @@ def test_mono_shift_drops_top():
     v2[ranks[(1, 0)]] = 1.0
     out = z11(v2)
     assert out[ranks[(2, 1)]] == 1.0 and np.sum(np.abs(out)) == 1.0
+
+
+@pytest.mark.parametrize("k", [0, 7, 19, 24, 37, 43, 56])
+def test_structural_checks_pass_for_every_constant_phase(k):
+    # the phase of the constant block changes no subspace, only bases, so
+    # roundoff columns of a shifted wandering basis must read as roundoff
+    phase = unitary_symbol(2, np.array([[np.exp(2j * np.pi * k / 60)]]))
+    sym = blockdiag_symbol([monomial_symbol(2, (2, 1)), phase])
+    report = structural_checks(quotient_model(build_space(2, 10, 2), sym))
+    assert report.passed, report.worst()
+
+
+@pytest.mark.parametrize("sym, degree", [
+    (monomial_symbol(3, (1, 2, 1)), 5),
+    (blockdiag_symbol([monomial_symbol(2, (1, 2)), unitary_symbol(2, np.eye(1))]), 6),
+])
+def test_structural_checks_do_not_depend_on_the_submodule_basis(sym, degree):
+    # another orthonormal basis of S: the right singular vectors of the
+    # symbol matrix's adjoint; the verdict must not move with it
+    model = quotient_model(build_space(sym.n, degree, sym.output_dim), sym)
+    _, _, vh = np.linalg.svd(model.symbol_mat.conj().T, full_matrices=False)
+    other = Subspace(model.space.dim, phase_fix(vh[: model.submodule_basis.dim].conj().T))
+    assert projector_residual(other, model.submodule_basis) <= 1e-12
+    report = structural_checks(dataclasses.replace(model, submodule_basis=other))
+    assert report.passed, report.worst()
+    assert report.worst()[1] <= 1e-12
+
+
+def test_oversized_hardy_model_refused_before_allocation(tmp_path):
+    # n = 2 at degree 300: D = 90,601 is under DIMENSION_CAP, but the symbol
+    # matrix alone would take D^2 complex entries, 131 GB
+    sym = monomial_symbol(2, (1, 1))
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(symbol_to_json(sym)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow):
+            quotient_model(build_space(2, 300, 1), sym)
+        assert main(["hardy", str(path), "--degree", "300"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26  # the exponent tables of the space, nothing of size D^2
+    model = quotient_model(build_space(2, 10, 1), sym)  # well inside HARDY_BYTE_BUDGET
+    assert model.space.dim == 121

@@ -16,6 +16,7 @@ from polydisc.linalg import (
     psd_sqrt,
     range_basis,
     spec_norm,
+    zero_cut,
 )
 
 
@@ -106,6 +107,27 @@ def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD) as exc:
         psd_sqrt(np.diag([1.0, -1e-3]))
     assert exc.value.min_eig == pytest.approx(-1e-3)
+    with pytest.raises(NotPSD):  # ten times the clamp window at norm 1
+        psd_sqrt(np.diag([1.0, -1e-9]))
+
+
+def test_psd_sqrt_clamps_roundoff_of_a_zero_matrix():
+    # a defect that is zero up to roundoff: the window is tol_psd_clamp at scale 1
+    rng = np.random.default_rng(8)
+    a = 1e-15 * random_hermitian(rng, 4)
+    assert spec_norm(psd_sqrt(a)) < 1e-7
+    with pytest.raises(NotPSD):
+        psd_sqrt(a - 1e-9 * np.eye(4))
+
+
+def test_zero_cut_is_relative_above_scale_one():
+    assert zero_cut(0.0, 1e-9) == zero_cut(1e-12, 1e-9) == zero_cut(1.0, 1e-9) == 1e-9
+    assert zero_cut(1e3, 1e-9) == pytest.approx(1e-6)
+    rng = np.random.default_rng(9)
+    noise = 1e-16 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    assert range_basis(noise).dim == 0
+    assert null_space(noise).dim == 5
+    assert range_basis(1e3 * np.diag([1.0, 1e-8, 0.0])).dim == 2  # 1e-5 clears the cut 1e-6
 
 
 def test_phase_fix_pivot_is_real_positive():
@@ -187,6 +209,25 @@ def test_containment_residual_detects_escape():
     outside = np.array([[0.0], [1.0], [0.0]], dtype=np.complex128)
     assert containment_residual(inside, sub) < 1e-14
     assert containment_residual(outside, sub) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("theta", [1e-7, 0.3, 1.2])
+def test_containment_residual_of_a_unit_column_is_its_sine(theta):
+    sub = Subspace(3, np.eye(3, dtype=np.complex128)[:, :1])
+    col = np.array([[np.cos(theta)], [np.sin(theta)], [0.0]], dtype=np.complex128)
+    assert containment_residual(col, sub) == pytest.approx(np.sin(theta), rel=1e-9)
+    # scale 1: a column longer than 1 reads its sine, not its distance
+    assert containment_residual(5.0 * col, sub) == pytest.approx(np.sin(theta), rel=1e-9)
+
+
+def test_containment_residual_of_a_small_column_is_its_distance():
+    # no column is skipped or rescaled: a genuine escape of norm 1e-6 still
+    # fails a 1e-8 gate, and roundoff of norm 1e-12 stays under it
+    sub = Subspace(3, np.eye(3, dtype=np.complex128)[:, :1])
+    small = np.array([[0.0, 0.0], [1e-6, 0.0], [0.0, 1e-12]], dtype=np.complex128)
+    assert containment_residual(small[:, :1], sub) == pytest.approx(1e-6)
+    assert containment_residual(small, sub) > 1e-8
+    assert containment_residual(small[:, 1:], sub) == pytest.approx(1e-12)
 
 
 def test_default_tol_singleton():

@@ -1,5 +1,6 @@
-"""Property tests: exact JSON round trips, and classification invariant
-under unitary conjugation."""
+"""Property tests: exact JSON round trips, classification invariant under
+unitary conjugation, the samplers' tuples, the Loewner order and the
+inner-ness of one-variable kernel-node characteristic functions."""
 
 import json
 
@@ -7,9 +8,19 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polydisc.hardy import symbol_from_json, symbol_to_json
-from polydisc.sampling import random_commuting_tuple, random_unitary
-from polydisc.tuples import classify, complex_from_json, complex_to_json, tuple_from_json, tuple_to_json, validate
+from polydisc.charfn import build_charfn, inner_residual
+from polydisc.hardy import symbol_from_json, symbol_to_json, torus_grid
+from polydisc.linalg import loewner_leq, spec_norm
+from polydisc.sampling import random_commuting_tuple, random_nilpotent_pair, random_nodes, random_unitary
+from polydisc.tuples import (
+    classify,
+    complex_from_json,
+    complex_to_json,
+    szego_tuple_from_nodes,
+    tuple_from_json,
+    tuple_to_json,
+    validate,
+)
 
 from .test_batch import random_symbol
 
@@ -68,3 +79,37 @@ def test_classify_flags_invariant_under_unitary_conjugation(seed, n, dim, norm_m
     flags = ("is_commuting", "is_contractive", "is_pure", "is_szego", "is_beurling")
     assert [getattr(before, f) for f in flags] == [getattr(after, f) for f in flags]
     np.testing.assert_allclose(after.szego_min_eig, before.szego_min_eig, atol=1e-12)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 3), dim=st.integers(1, 5), m=st.integers(1, 4))
+def test_sampled_tuples_validate(seed, n, dim, m):
+    rng = np.random.default_rng(seed)
+    for mats in (random_commuting_tuple(rng, n, dim), random_nilpotent_pair(rng, dim)):
+        t = validate(mats)
+        assert t.dim == dim and all(spec_norm(x) <= 1.0 + t.tol.tol_structural for x in t)
+    t = szego_tuple_from_nodes(random_nodes(rng, m, n))
+    assert (t.n, t.dim) == (n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, dim=st.integers(1, 5), rank=st.integers(1, 5), top=st.floats(1e-6, 10.0))
+def test_loewner_order_sees_a_psd_step(seed, dim, rank, top):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = g + g.conj().T
+    b = rng.standard_normal((dim, min(rank, dim))) + 1j * rng.standard_normal((dim, min(rank, dim)))
+    p = b @ b.conj().T
+    p *= top * max(spec_norm(a), 1.0) / spec_norm(p)  # largest eigenvalue well clear of the gate
+    assert loewner_leq(a, a + p).holds
+    assert not loewner_leq(a + p, a).holds
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, m=st.integers(1, 6))
+def test_kernel_node_charfns_are_inner_on_the_torus(seed, m):
+    t = szego_tuple_from_nodes(random_nodes(np.random.default_rng(seed), m, 1))
+    assert inner_residual(build_charfn(t), torus_grid(1, 64)) <= 1e-8
