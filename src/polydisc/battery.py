@@ -26,6 +26,7 @@ from .charfn import (
     torus_grid,
 )
 from .defects import (
+    DefectPackage,
     build_defects,
     commutator_defect,
     defect_series_residual,
@@ -214,13 +215,13 @@ def positivity_battery(seed: int) -> list[CheckResult]:
     ]
 
 
-def _recovery_residual(mt: CTuple, mask: np.ndarray, core_exp: tuple[int, int]) -> float:
+def _recovery_residual(mt: CTuple, pkg: DefectPackage, core_exp: tuple[int, int]) -> float:
     """Distance of the model charfn from the core monomial up to coincidence.
 
     Both spaces are one-dimensional, so the aligning unitaries reduce to
     one unimodular scalar, fixed at the sample point of largest target
     magnitude; any modulus drift of that scalar counts as error."""
-    f = build_charfn(mt, build_defects(mt, mask))
+    f = build_charfn(mt, pkg)
     if f.input_dim != 1 or f.output_dim != 1:
         return float("inf")
     pts = default_points(2, count=12, seed=13)
@@ -246,9 +247,10 @@ def model_suite() -> list[CheckResult]:
                 dim_mismatches += 1
             pkg = build_defects(mt, mask)
             joint_min = min(joint_min, pkg.joint.min_eig)
-            verdict = loewner_leq(pkg.joint.matrix, pkg.commutator_defect_sq, DEFAULT_TOL)
+            comm_sq, _ = commutator_defect(mt, mask)
+            verdict = loewner_leq(pkg.joint.matrix, comm_sq, DEFAULT_TOL)
             dominance_min = min(dominance_min, verdict.witness_min_eig)
-            worst_recovery = max(worst_recovery, _recovery_residual(mt, mask, core))
+            worst_recovery = max(worst_recovery, _recovery_residual(mt, pkg, core))
     return [
         _leq("c07_structural_worst", worst_structural, 1e-8),
         _leq("c07_dim_mismatches", float(dim_mismatches), 0.0),

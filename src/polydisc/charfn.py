@@ -32,7 +32,7 @@ from .linalg import (
     spec_norms,
     stack_chunks,
 )
-from .tuples import CTuple, defect_first_kind, is_pure, validate
+from .tuples import CTuple, classical_defect, defect_first_kind, is_pure, validate
 
 RESOLVENT_COND_LIMIT = 1e12
 
@@ -132,7 +132,8 @@ def eval_onevar(f: CharFn, w) -> np.ndarray:
     spaces, as a matrix from the D_T basis to the D_{T*} basis.
 
     w is a point of shape (1,) or a stack of shape (P, 1) (hardy.point_stack).
-    D_T and D_{T*} (for n = 1 the first-kind defect) come from f.defects.
+    D_{T*} (for n = 1 the first-kind defect) comes from f.defects; D_T and
+    its range are built here, once per call.
     """
     t = f.tuple
     if t.n != 1:
@@ -142,7 +143,7 @@ def eval_onevar(f: CharFn, w) -> np.ndarray:
         raise NotPure(f"spectral radius {max(radii)} too close to 1")
     w, single = point_stack(w, t.n)
     mat = t[0]
-    root, basis = f.defects.classical[0]
+    root, basis = classical_defect(mat, t.tol)
     root_star, basis_star = f.defects.first_kind
     _resolvent_gate(t, w)
     f = _resolvent_factor(t, 0, w[:, 0])
@@ -192,8 +193,7 @@ class CharFn:
     input_basis spans the joint defect space inside C^{nd}; output_basis
     spans the first-kind defect space inside C^d.  preimages holds h~
     columns with D_T h~ = input basis vector, fixed by the eigensystem of
-    the joint defect.  mask is carried over from the defect package
-    (windowed models) and is informational here.
+    the joint defect.
     """
 
     tuple: CTuple
@@ -201,7 +201,6 @@ class CharFn:
     input_basis: Subspace
     output_basis: Subspace
     preimages: np.ndarray
-    mask: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -266,7 +265,7 @@ def _formula_coefficient_blocks(t: CTuple, root: np.ndarray, n_deg: int) -> dict
     adjoints = [m.conj().T for m in t]
     box = list(itertools.product(range(n_deg + 1), repeat=n))
     space = build_space(n, n_deg, 1)
-    powers = dict(zip(space.exponents, adjoint_powers(t, space)))
+    powers = dict(zip(map(tuple, space.exps.tolist()), adjoint_powers(t, space)))
 
     # finite part E_j: coefficient at delta (0/1 exponents) and delta + e_j
     finite: list[dict[tuple, np.ndarray]] = []
@@ -312,7 +311,7 @@ def build_charfn(t: CTuple, defects: DefectPackage | None = None) -> CharFn:
     if defects is None:
         defects = build_defects(t)
     jd = defects.joint
-    if jd.root is None or jd.space is None:
+    if jd.space is None:
         raise NotBeurling(
             f"joint defect is not PSD (min eigenvalue {jd.min_eig:.3e})",
             min_eig=jd.min_eig,
@@ -322,7 +321,7 @@ def build_charfn(t: CTuple, defects: DefectPackage | None = None) -> CharFn:
     basis = jd.space
     lam = np.real(np.sum(basis.basis.conj() * (jd.matrix @ basis.basis), axis=0))
     preimages = basis.basis / np.sqrt(lam)
-    return CharFn(t, defects, basis, defects.first_kind[1], preimages, defects.mask)
+    return CharFn(t, defects, basis, defects.first_kind[1], preimages)
 
 
 def inner_residual(f: CharFn, grid) -> float:

@@ -9,30 +9,29 @@ series expansions encode purity.
 
 Masking: truncated and block defect objects built from I - T^*T pick up
 boundary artifacts on truncated model spaces.  Functions here compute raw
-operators; ``build_defects`` (and the ``mask`` arguments on the block
-assemblies) compress them with a window projector so the artifact rows
-and columns drop out.
+operators; the ``mask`` arguments of the block assemblies (and of
+``build_defects``) compress every block with a window projector so the
+artifact rows and columns drop out.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import ceil, log
 
 import numpy as np
 
-from .errors import BadIndex, NotPSD, NotSzego, ShapeMismatch
+from .errors import BadIndex, NotSzego, ShapeMismatch
 from .linalg import (
     Subspace,
     as_complex,
     hermitian_part,
     herm_eig,
-    psd_sqrt,
+    psd_clamp,
     range_basis,
     spec_norm,
 )
-from .tuples import CTuple, classical_defect, classical_defect_sq, defect_first_kind, is_pure
+from .tuples import CTuple, classical_defect_sq, defect_first_kind, is_pure
 
 
 def delta_map(x, a) -> np.ndarray:
@@ -101,13 +100,11 @@ def _apply_mask(mask, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointDefect:
-    """The nd x nd joint defect, with root and range when it is PSD."""
+    """The nd x nd joint defect (Hermitian part), with its range when it is PSD."""
 
     matrix: np.ndarray
-    root: np.ndarray | None
     space: Subspace | None
     min_eig: float
-    herm_residual: float
 
 
 def _assemble_blocks(diag_blocks, off_block) -> np.ndarray:
@@ -120,25 +117,24 @@ def _assemble_blocks(diag_blocks, off_block) -> np.ndarray:
 def joint_defect(t: CTuple, mask=None) -> JointDefect:
     """Assemble the joint defect: D^2_{i,T} on the diagonal, delta_ij off it.
 
-    Always assembled; the PSD root and range basis are attached only when
-    the minimum eigenvalue clears the clamp (expected to fail for
-    non-Beurling tuples).  A mask projector compresses every block first.
+    Always assembled; one eigendecomposition gives the minimum eigenvalue
+    and the PSD verdict (the psd_clamp window of psd_sqrt).  The range
+    basis is attached only when the defect is PSD (expected to fail for
+    non-Beurling tuples).  It is read by range_basis like every other
+    defect space, not off the eigenvectors, which a degenerate eigenvalue
+    fixes only up to a unitary.  A mask projector compresses every block
+    first.
     """
     diag = [_apply_mask(mask, full_truncated_defect(t, i)) for i in range(t.n)]
-    deltas = {
-        (i, j): _apply_mask(mask, joint_commutator(t, i, j))
-        for i, j in itertools.permutations(range(t.n), 2)
-    }
-    big = _assemble_blocks(diag, lambda i, j: deltas[(i, j)])
-    herm = hermitian_part(big)
+
+    def off(i, j):
+        return _apply_mask(mask, joint_commutator(t, i, j))
+
+    herm = hermitian_part(_assemble_blocks(diag, off))
     vals, _ = herm_eig(herm, t.tol)
     min_eig = float(vals[-1])
-    try:
-        root = psd_sqrt(herm, t.tol)
-        space = range_basis(herm, t.tol)
-    except NotPSD:
-        root, space = None, None
-    return JointDefect(herm, root, space, min_eig, spec_norm(big - herm))
+    space = range_basis(herm, t.tol) if min_eig >= -psd_clamp(vals, t.tol) else None
+    return JointDefect(herm, space, min_eig)
 
 
 def commutator_defect(t: CTuple, mask=None) -> tuple[np.ndarray, float]:
@@ -206,54 +202,25 @@ def defect_series_residual(t: CTuple, j: int, p, k: int | None = None) -> float:
 
 @dataclass(frozen=True)
 class DefectPackage:
-    """Every defect object of one tuple, with one shared window mask."""
+    """The two defects that fix a characteristic function's spaces."""
 
-    tuple: CTuple
-    mask: np.ndarray | None
-    classical: tuple[tuple[np.ndarray, Subspace], ...]
     first_kind: tuple[np.ndarray, Subspace] | None  # None when not Szego
-    truncated: dict[tuple[int, frozenset[int]], np.ndarray]
-    joint_commutators: dict[tuple[int, int], np.ndarray]
     joint: JointDefect
-    commutator_defect_sq: np.ndarray
-    commutator_min_eig: float
 
 
 def build_defects(t: CTuple, mask=None) -> DefectPackage:
-    """Compute the full defect package.
+    """The first-kind defect D_{T*} (root and range; the output space of
+    Theta_T) and the joint defect (the input space).
 
-    Classical and first-kind defects are stored raw (adjoint-side objects
-    are artifact-free on truncated models); truncated defects, joint
-    commutators, and both block operators are masked when a window
-    projector is supplied.  A non-Szego tuple gets first_kind=None rather
-    than an error, so the rest of the package stays explorable.
+    The first-kind defect is stored raw (adjoint-side objects are
+    artifact-free on truncated models); the joint defect is masked when a
+    window projector is supplied.  A non-Szego tuple gets first_kind=None
+    rather than an error.  The truncated, commutator and classical defects
+    are functions of their own (truncated_defect, commutator_defect,
+    tuples.classical_defect), computed where they are read.
     """
-    classical = tuple(classical_defect(m, t.tol) for m in t.matrices)
     try:
         first = defect_first_kind(t)
     except NotSzego:
         first = None
-    truncated = {}
-    for j in range(t.n):
-        others = [k for k in range(t.n) if k != j]
-        for r in range(len(others) + 1):
-            for combo in itertools.combinations(others, r):
-                pset = frozenset(combo)
-                truncated[(j, pset)] = _apply_mask(mask, truncated_defect(t, j, pset))
-    deltas = {
-        (i, j): _apply_mask(mask, joint_commutator(t, i, j))
-        for i, j in itertools.permutations(range(t.n), 2)
-    }
-    joint = joint_defect(t, mask)
-    comm_sq, comm_min = commutator_defect(t, mask)
-    return DefectPackage(
-        tuple=t,
-        mask=None if mask is None else np.atleast_2d(as_complex(mask)),
-        classical=classical,
-        first_kind=first,
-        truncated=truncated,
-        joint_commutators=deltas,
-        joint=joint,
-        commutator_defect_sq=comm_sq,
-        commutator_min_eig=comm_min,
-    )
+    return DefectPackage(first_kind=first, joint=joint_defect(t, mask))

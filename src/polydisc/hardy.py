@@ -68,10 +68,9 @@ class HardySpace:
     Basis position of (k, r) is rank(k) * coeff_dim + r, with monomial
     ranks in graded lexicographic order.
 
-    ``exponents`` lists the monomials in rank order as tuples; ``exps`` is
-    the same list as a read-only integer array of shape (mono_count, n).
-    The flat index of k is its mixed-radix value sum_i k_i (N+1)^(n-1-i),
-    and ``rank_of`` maps flat index to rank.  A shift by z^beta is then the
+    ``exps`` lists the monomials in rank order as a read-only integer
+    array of shape (mono_count, n).  The flat index of k is its mixed-radix
+    value sum_i k_i (N+1)^(n-1-i), and ``rank_of`` maps flat index to rank.  A shift by z^beta is then the
     index move k -> k + beta, and a window is a comparison of ``exps``
     against per-variable caps.  Both arrays are built once by build_space
     and take no part in equality.  Operators are applied through these
@@ -81,13 +80,12 @@ class HardySpace:
     n: int
     N: int
     coeff_dim: int
-    exponents: tuple[tuple[int, ...], ...]
     exps: np.ndarray = field(compare=False, repr=False)
     rank_of: np.ndarray = field(compare=False, repr=False)
 
     @property
     def mono_count(self) -> int:
-        return len(self.exponents)
+        return len(self.exps)
 
     @property
     def dim(self) -> int:
@@ -114,7 +112,7 @@ def build_space(n: int, N: int, coeff_dim: int) -> HardySpace:
     exps, rank_of = box[order], np.argsort(order)
     for arr in (exps, rank_of):
         arr.setflags(write=False)
-    return HardySpace(n, N, coeff_dim, tuple(map(tuple, exps.tolist())), exps, rank_of)
+    return HardySpace(n, N, coeff_dim, exps, rank_of)
 
 
 def offset_ranks(space: HardySpace, delta) -> np.ndarray:
@@ -662,15 +660,17 @@ def structural_checks(
     model: QuotientModel,
     tol: Tolerances = DEFAULT_TOL,
     threshold: float = 1e-8,
-    expect_minimal: bool | None = None,
 ) -> StructuralReport:
     """Run the full windowed identity battery on one graded model.
 
     Every residual is evaluated through the model's exact window, shrunk
     further by the degree reach of the operators inside each identity.
-    ``expect_minimal`` tells the minimality check whether the symbol has a
-    constant unitary block (overlap 1) or not (overlap 0); by default it
-    is inferred from the grammar.
+    The minimality check expects the overlap of the submodule with the
+    constants to be ||Theta(0)||, since P_S e = Theta Theta(0)^* e for a
+    constant e.  By the maximum modulus principle a constant lies in
+    Theta H^2 iff Theta(0) attains norm 1; when ||Theta(0)|| < 1 up to
+    tol_structural, the wandering space must also equal what the
+    quotient reaches.
     """
     space = model.space
     n = space.n
@@ -837,37 +837,16 @@ def structural_checks(
     residuals["joint_defect_gram_identity"] = spec_norm(big_mask @ (jd.matrix - gram) @ big_mask)
 
     # Minimality: overlap of the submodule with constant vectors of E*.
+    # P_S e = Theta Theta(0)^* e for a constant e, so the overlap is ||Theta(0)||.
     overlap = spec_norm(s[: space.coeff_dim])  # ||S^H e_r||: z^0 e_r sit in rows 0..coeff_dim-1
-    if expect_minimal is None:
-        expect_minimal = not _has_constant_block(model.symbol)
-    expected = 0.0 if expect_minimal else 1.0
-    residuals["minimality_overlap_error"] = abs(overlap - expected)
-    if expect_minimal:
-        # For minimal symbols the wandering space is exactly what the
-        # quotient reaches, so W_eff = W as subspaces.
+    theta0 = spec_norm(theta_cols[: space.coeff_dim])  # ||Theta(0)||: the z^0 block
+    residuals["minimality_overlap_error"] = abs(overlap - theta0)
+    if theta0 < 1.0 - tol.tol_structural:
+        # No constant lies in S, so the wandering space is exactly what
+        # the quotient reaches: W_eff = W as subspaces.
         residuals["wandering_effective_equals_wandering"] = projector_residual(w_eff, w_masked)
 
     return StructuralReport(residuals, dims, threshold)
-
-
-def _has_constant_block(sym: InnerSymbol) -> bool:
-    """Grammar-level guess at whether the symbol traps constants in S.
-
-    Exact for the shapes the battery builds (monomials, block diagonals
-    with unitary slots).  Mixed products can fool it; callers with such
-    symbols should pass expect_minimal explicitly.
-    """
-    if sym.kind == "unitary":
-        return True
-    if sym.kind == "monomial":
-        return all(e == 0 for e in sym.exponent)
-    if sym.kind == "blaschke1":
-        return len(sym.zeros) == 0
-    if sym.kind == "blockdiag":
-        return any(_has_constant_block(c) for c in sym.children)
-    if sym.kind == "product":
-        return all(_has_constant_block(c) for c in sym.children)
-    return False
 
 
 def ahern_clark_growth(sym: InnerSymbol, n_range) -> list[int]:

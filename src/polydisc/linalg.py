@@ -133,16 +133,23 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
+def psd_clamp(vals: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+    """The NotPSD window zero_cut(||A||, tol_psd_clamp) of a Hermitian A,
+    read off its descending spectrum: eigenvalues in [-window, 0) are
+    roundoff of a PSD matrix, anything lower is not."""
+    return zero_cut(max(float(vals[0]), -float(vals[-1])), tol.tol_psd_clamp)
+
+
 def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root with eigenvalue clamping.
 
-    Eigenvalues in [-zero_cut(||A||, tol_psd_clamp), 0) are clamped to zero;
-    anything below that window raises NotPSD with the offending eigenvalue.
+    Eigenvalues in the psd_clamp window are clamped to zero; anything below
+    it raises NotPSD with the offending eigenvalue.
     """
     vals, vecs = herm_eig(a, tol)
     if vals.size == 0:
         return np.zeros_like(as_complex(a))
-    clamp = zero_cut(max(float(vals[0]), -float(vals[-1])), tol.tol_psd_clamp)
+    clamp = psd_clamp(vals, tol)
     min_eig = float(vals[-1])
     if min_eig < -clamp:
         raise NotPSD(f"min eigenvalue {min_eig:.3e} below clamp {-clamp:.3e}", min_eig)

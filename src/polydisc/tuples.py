@@ -201,7 +201,7 @@ def is_beurling(t: CTuple, mask=None) -> BeurlingVerdict:
 
 def _beurling_verdict(t: CTuple, szego_ok: bool, mask) -> BeurlingVerdict:
     """is_beurling from the Szego flag, computed once by the caller."""
-    roots = [classical_defect(m, t.tol)[0] for m in t.matrices]
+    roots = [psd_sqrt(classical_defect_sq(m), t.tol) for m in t.matrices]
     p = None if mask is None else np.atleast_2d(as_complex(mask))
     worst, pair = 0.0, None
     for i, j in itertools.permutations(range(t.n), 2):

@@ -346,3 +346,24 @@ def test_conjugated_zero_defect_model_builds(seed):
     t = validate([sigma @ m @ sigma.conj().T for m in mt])
     f = build_charfn(t, build_defects(t, sigma @ quotient_mask(model) @ sigma.conj().T))
     assert (f.input_dim, f.output_dim) == (0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_charfn_takes_two_eigh_and_two_svd(n, monkeypatch):
+    # one eigh and one SVD for the first-kind defect, and one of each for
+    # the joint defect, whatever n: nothing else of the defect layer is built
+    if n == 1:
+        t = szego_tuple_from_nodes(random_nodes(np.random.default_rng(3), 3, 1))
+    else:
+        t = validate([np.zeros((4, 4))] * (n - 1) + [trunc_shift(4)])
+    calls = {"eigh": 0, "svd": 0, "norm": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    f = build_charfn(t, build_defects(t))
+    assert f.input_dim >= 1 and f.output_dim >= 1
+    assert calls == {"eigh": 2, "svd": 2, "norm": 0}

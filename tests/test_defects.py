@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def test_joint_defect_shift_pair():
     expected[n + 1 :, n + 1 :] = en
     np.testing.assert_allclose(jd.matrix, expected, atol=1e-14)
     assert jd.min_eig >= -1e-12
-    assert jd.root is not None and jd.space is not None
+    assert jd.space is not None
     assert jd.space.dim == 2
 
 
@@ -133,7 +134,7 @@ def test_joint_defect_indefinite_case():
     j = np.array([[0.0, 1.0], [0.0, 0.0]])
     jd = joint_defect(validate([j, j]))
     assert jd.min_eig == pytest.approx(-1.0)
-    assert jd.root is None and jd.space is None
+    assert jd.space is None
 
 
 def test_commutator_defect_scalar_and_shift_pair():
@@ -224,21 +225,20 @@ def test_series_residual_random_pure_tuples():
         assert defect_series_residual(t, j, p) <= 1e-10
 
 
+def _diagonal_blocks(big: np.ndarray, n: int) -> list[np.ndarray]:
+    d = big.shape[0] // n
+    return [big[i * d : (i + 1) * d, i * d : (i + 1) * d] for i in range(n)]
+
+
 def test_build_defects_package_shape():
     rng = np.random.default_rng(27)
     t = validate(random_commuting_tuple(rng, 2, 3))
     pkg = build_defects(t)
-    assert len(pkg.classical) == 2
-    assert len(pkg.truncated) == 2 * 2  # per j: P = {} and P = {other}
-    assert set(pkg.joint_commutators) == {(0, 1), (1, 0)}
+    assert [f.name for f in fields(pkg)] == ["first_kind", "joint"]
+    assert [f.name for f in fields(pkg.joint)] == ["matrix", "space", "min_eig"]
     assert pkg.joint.matrix.shape == (6, 6)
-    assert pkg.commutator_defect_sq.shape == (6, 6)
-    np.testing.assert_allclose(
-        pkg.truncated[(0, frozenset())], classical_defect_sq(t[0]), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        pkg.truncated[(0, frozenset({1}))], full_truncated_defect(t, 0), atol=1e-14
-    )
+    for i, block in enumerate(_diagonal_blocks(pkg.joint.matrix, 2)):
+        np.testing.assert_allclose(block, full_truncated_defect(t, i), atol=1e-14)
 
 
 def test_build_defects_mask_applied():
@@ -247,11 +247,16 @@ def test_build_defects_mask_applied():
     low = np.diag([1.0] * n + [0.0])
     mask = np.kron(low, low)
     pkg = build_defects(t, mask=mask)
-    # classical defect of the bishift lives at top degree; the mask kills it
-    assert spec_norm(pkg.truncated[(0, frozenset())]) <= 1e-14
-    assert spec_norm(pkg.joint.matrix) <= 1e-14
     raw = build_defects(t)
-    assert spec_norm(raw.truncated[(0, frozenset())]) == pytest.approx(1.0)
+    for i, (masked, unmasked) in enumerate(
+        zip(_diagonal_blocks(pkg.joint.matrix, 2), _diagonal_blocks(raw.joint.matrix, 2))
+    ):
+        full = full_truncated_defect(t, i)
+        np.testing.assert_allclose(masked, mask @ full @ mask, atol=1e-14)
+        np.testing.assert_allclose(unmasked, full, atol=1e-14)
+        # the truncated defects of the bishift live at top degree; the mask kills them
+        assert spec_norm(unmasked) == pytest.approx(1.0)
+    assert spec_norm(pkg.joint.matrix) <= 1e-14
 
 
 def test_joint_defect_nilpotent_pair_psd_and_series():
@@ -259,5 +264,9 @@ def test_joint_defect_nilpotent_pair_psd_and_series():
     for _ in range(5):
         t = validate(random_nilpotent_pair(rng, 4))
         assert defect_series_residual(t, 0, {1}, k=4) <= 1e-12
-        jd = joint_defect(t)
-        assert jd.herm_residual <= 1e-12
+        # delta_10 = delta_01^H, so taking the Hermitian part of the
+        # assembled joint defect keeps its off-diagonal block delta_01
+        delta01, delta10 = joint_commutator(t, 0, 1), joint_commutator(t, 1, 0)
+        assert spec_norm(delta01 - delta10.conj().T) <= 1e-12
+        d = t.dim
+        assert spec_norm(joint_defect(t).matrix[:d, d:] - delta01) <= 1e-12

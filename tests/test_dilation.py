@@ -21,6 +21,7 @@ from polydisc.linalg import range_basis
 from polydisc.sampling import random_nodes
 from polydisc.tuples import CTuple, szego_tuple_from_nodes, tuple_to_json, validate
 
+from .test_hardy import monomials
 from .test_tuples import trunc_shift
 
 
@@ -57,7 +58,7 @@ def test_build_dilation_zero_shift_pair():
     e0[0] = 1.0
     # the full d x d block D_{T*} T^{*k} is the coefficient basis times the pi block
     blocks = d.coeff_basis.basis @ d.pi.reshape(d.space.mono_count, d.space.coeff_dim, m + 1)
-    for k, block in zip(d.space.exponents, blocks):
+    for k, block in zip(monomials(d.space), blocks):
         if k[0] == 0 and k[1] <= m:
             ek = np.zeros(m + 1)
             ek[k[1]] = 1.0
@@ -144,15 +145,16 @@ def full_box_minimality(d):
     """Reference: the span of every shift z^k pi over the whole box, with
     rows outside the window zeroed, on the full D x (mono dim) matrix."""
     space, p, dim = d.space, d.space.coeff_dim, d.tuple.dim
-    ranks = {k: idx for idx, k in enumerate(space.exponents)}
+    monos = monomials(space)
+    ranks = {k: idx for idx, k in enumerate(monos)}
     blocks = d.pi.reshape(space.mono_count, p, dim)
     cols = np.zeros((space.dim, space.mono_count * dim), dtype=np.complex128)
-    for b, k in enumerate(space.exponents):
-        for a, e in enumerate(space.exponents):
+    for b, k in enumerate(monos):
+        for a, e in enumerate(monos):
             r = ranks.get(tuple(x + y for x, y in zip(e, k)))
             if r is not None:
                 cols[r * p : (r + 1) * p, b * dim : (b + 1) * dim] = blocks[a]
-    window = np.repeat([max(k) <= d.degree - 1 for k in space.exponents], p)
+    window = np.repeat([max(k) <= d.degree - 1 for k in monos], p)
     cols[~window] = 0.0
     span = range_basis(cols, d.tuple.tol)
     targets = np.eye(space.dim, dtype=np.complex128)[:, window]

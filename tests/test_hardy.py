@@ -55,6 +55,11 @@ def dense_shift(space, i):
     return shift_apply(space, i, np.eye(space.dim))
 
 
+def monomials(space):
+    """The exponents of the space in rank order, as tuples."""
+    return [tuple(k) for k in space.exps.tolist()]
+
+
 def restriction(big, small):
     """Isometric inclusion of a lower-degree truncation into a higher one."""
     rows = big.position(small.exps, 0)[:, None] + np.arange(small.coeff_dim)
@@ -64,15 +69,16 @@ def restriction(big, small):
 def test_build_space_dims_and_order():
     s = build_space(1, 3, 1)
     assert s.dim == 4
-    assert s.exponents == ((0,), (1,), (2,), (3,))
+    assert monomials(s) == [(0,), (1,), (2,), (3,)]
     assert build_space(2, 2, 1).dim == 9
     assert build_space(2, 2, 3).dim == 27
     s2 = build_space(2, 2, 1)
-    degrees = [sum(k) for k in s2.exponents]
+    monos = monomials(s2)
+    degrees = [sum(k) for k in monos]
     assert degrees == sorted(degrees)  # graded ordering
-    assert s2.exponents[0] == (0, 0)
+    assert monos[0] == (0, 0)
     # lexicographic within a degree
-    assert s2.exponents.index((0, 1)) < s2.exponents.index((1, 0))
+    assert monos.index((0, 1)) < monos.index((1, 0))
 
 
 def test_build_space_overflow_and_bad_args():
@@ -87,6 +93,19 @@ def test_build_space_overflow_and_bad_args():
     assert peak < 2**16
     with pytest.raises(ValueError):
         build_space(0, 2, 1)
+
+
+def test_build_space_keeps_only_the_index_arrays():
+    # D = 10^6, the DIMENSION_CAP: the exps and rank_of arrays take 30.5 MiB;
+    # a second copy of the exponents as Python tuples kept 99 MiB
+    tracemalloc.start()
+    try:
+        space = build_space(3, 99, 1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert space.mono_count == 100**3
+    assert kept < 40 * 2**20
 
 
 def test_shift_matrix_one_variable():
@@ -114,7 +133,7 @@ def test_shift_adjoint_defect_is_top_projector():
         m = dense_shift(s, i)
         defect = np.eye(s.dim) - m.conj().T @ m
         expected = np.zeros(s.dim)
-        for k in s.exponents:
+        for k in monomials(s):
             if k[i] == s.N:
                 expected[s.position(k, 0)] = 1.0
         np.testing.assert_allclose(defect, np.diag(expected), atol=1e-14)
@@ -125,8 +144,9 @@ def test_window_mask_projector():
     keep = row_mask(s, (2, 1))
     assert keep.dtype == bool and keep.shape == (s.dim,)
     assert keep.sum() == 3 * 2 * 2  # k1 <= 2, k2 <= 1, both coeff slots
+    monos = monomials(s)
     for pos in np.flatnonzero(keep):
-        k = s.exponents[pos // s.coeff_dim]
+        k = monos[pos // s.coeff_dim]
         assert k[0] <= 2 and k[1] <= 1
     assert not row_mask(s, (-1, 3)).any()
     assert row_mask(s, 3).all()
@@ -139,7 +159,7 @@ def test_restriction_matrix_isometry():
     big = build_space(2, 4, 2)
     r = restriction(big, small)
     np.testing.assert_allclose(r.conj().T @ r, np.eye(small.dim), atol=0)
-    for k in small.exponents:
+    for k in monomials(small):
         for c in range(small.coeff_dim):
             assert r[big.position(k, c), small.position(k, c)] == 1.0
 
@@ -298,7 +318,7 @@ def test_quotient_model_z1z2_dimension():
     s = build_space(2, n_deg, 1)
     m = quotient_model(s, monomial_symbol(2, (1, 1)))
     assert m.quotient_dim == 2 * n_deg + 1
-    mono_in_ideal = [k for k in s.exponents if k[0] >= 1 and k[1] >= 1]
+    mono_in_ideal = [k for k in monomials(s) if k[0] >= 1 and k[1] >= 1]
     assert m.submodule_basis.dim == len(mono_in_ideal)
 
 
@@ -479,7 +499,7 @@ def test_mono_shift_drops_top():
     def z11(v):  # multiplication by z^(1,1): row k + (1,1) takes row k
         return gather_blocks(s, offset_ranks(s, (-1, -1)), v[:, None])[:, 0]
 
-    ranks = {k: i for i, k in enumerate(s.exponents)}
+    ranks = {k: i for i, k in enumerate(monomials(s))}
     v = np.zeros(s.mono_count)
     v[ranks[(2, 1)]] = 1.0
     np.testing.assert_allclose(z11(v), np.zeros(s.mono_count), atol=0)
@@ -513,6 +533,31 @@ def test_structural_checks_do_not_depend_on_the_submodule_basis(sym, degree):
     report = structural_checks(dataclasses.replace(model, submodule_basis=other))
     assert report.passed, report.worst()
     assert report.worst()[1] <= 1e-12
+
+
+def _rotation(theta):
+    return unitary_symbol(2, np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]))
+
+
+_Z1_1 = blockdiag_symbol([monomial_symbol(2, (1, 0)), unitary_symbol(2, np.eye(1))])
+
+
+@pytest.mark.parametrize("factors, overlap", [
+    # diag(z1, 1) diag(1, z2) = diag(z1, z2): Theta(0) = 0, so no constant lies
+    # in S although every factor has a constant block
+    ([_Z1_1, blockdiag_symbol([unitary_symbol(2, np.eye(1)), monomial_symbol(2, (0, 1))])], 0.0),
+    # diag(z1, 1) diag(z2, 1) = diag(z1 z2, 1): ||Theta(0)|| = 1 and e_2 lies in S
+    ([_Z1_1, blockdiag_symbol([monomial_symbol(2, (0, 1)), unitary_symbol(2, np.eye(1))])], 1.0),
+    # diag(z1, 1) R diag(z1, 1): Theta(0) = diag(0, 1) R diag(0, 1) has norm cos 1
+    ([_Z1_1, _rotation(1.0), _Z1_1], np.cos(1.0)),
+])
+def test_structural_checks_minimality_follows_theta_at_zero(factors, overlap):
+    model = quotient_model(build_space(2, 6, 2), product_symbol(factors))
+    report = structural_checks(model)
+    assert report.passed, report.worst()
+    assert report.worst()[1] <= 1e-12
+    assert spec_norm(model.submodule_basis.basis[:2]) == pytest.approx(overlap, abs=1e-12)
+    assert ("wandering_effective_equals_wandering" in report.residuals) == (overlap < 1.0)
 
 
 def test_oversized_hardy_model_refused_before_allocation(tmp_path):
