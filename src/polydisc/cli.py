@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,20 +57,14 @@ from .hardy import (
     symbol_from_json,
 )
 from .linalg import DEFAULT_TOL, Tolerances, spec_norms
-from .tuples import classify, complex_from_json, complex_to_json, is_beurling, tuple_from_json
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved knobs shared by the subcommands."""
-
-    tolerances: Tolerances
-    truncation_degree: int | None
-    grid_per_axis: int
-    seed: int
-    window_margin: int
-    output_path: str | None
-    out_format: str
+from .tuples import (
+    classify,
+    complex_from_json,
+    complex_to_json,
+    int_from_json,
+    is_beurling,
+    tuple_from_json,
+)
 
 
 def _positive_int(minimum: int, what: str):
@@ -81,6 +75,13 @@ def _positive_int(minimum: int, what: str):
         return value
 
     return parse
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("--tol must be a finite number >= 0")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("tuple_file", help="tuple JSON file")
         if symbol_file:
             p.add_argument("symbol_file", help="inner-symbol JSON file")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="override the structural tolerance")
         p.add_argument("--degree", type=_positive_int(1, "--degree"), default=None,
                        help="truncation degree N")
@@ -138,19 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> RunConfig:
-    tol = DEFAULT_TOL if args.tol is None else Tolerances(tol_structural=args.tol)
-    return RunConfig(
-        tolerances=tol,
-        truncation_degree=args.degree,
-        grid_per_axis=args.grid,
-        seed=args.seed,
-        window_margin=0 if args.window is None else args.window,
-        output_path=args.out,
-        out_format=args.format,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Serialization helpers
 
@@ -186,17 +174,17 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _provenance(command: str, cfg: RunConfig, started: float) -> dict:
+def _provenance(args, tol: Tolerances, started: float) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "config": {
-            "tol_structural": cfg.tolerances.tol_structural,
-            "tol_rank": cfg.tolerances.tol_rank,
-            "truncation_degree": cfg.truncation_degree,
-            "grid_per_axis": cfg.grid_per_axis,
-            "seed": cfg.seed,
-            "window_margin": cfg.window_margin,
-            "format": cfg.out_format,
+            "tol_structural": tol.tol_structural,
+            "tol_rank": tol.tol_rank,
+            "truncation_degree": args.degree,
+            "grid_per_axis": args.grid,
+            "seed": args.seed,
+            "window_margin": args.window or 0,
+            "format": args.format,
         },
         "versions": {
             "polydisc": __version__,
@@ -234,32 +222,25 @@ def _csv_rows(report: dict) -> list[str]:
     return lines
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
-    if cfg.out_format == "csv":
+def _emit(report: dict, args) -> None:
+    if args.format == "csv":
         text = "\n".join(_csv_rows(report)) + "\n"
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments and the tolerances and returns
+# its report body and exit code; main adds the provenance and writes it.
 
 
-def cmd_classify(args) -> int:
-    cfg = _config(args)
-    started = time.monotonic()
-    t, window = tuple_from_json(_load_json(args.tuple_file), cfg.tolerances)
-    mask = window if args.window is not None else None
-    report = {
-        "classification": _jsonable(classify(t, mask)),
-        "provenance": _provenance("classify", cfg, started),
-    }
-    _emit(report, cfg)
-    return 0
+def cmd_classify(args, tol: Tolerances) -> tuple[dict, int]:
+    t, window = tuple_from_json(_load_json(args.tuple_file), tol)
+    return {"classification": _jsonable(classify(t, _file_mask(args, window)))}, 0
 
 
 def _file_mask(args, window) -> np.ndarray | None:
@@ -279,8 +260,8 @@ def _read_points(req, n: int, grid_pa: int) -> tuple[list[np.ndarray], int]:
         grid = req["grid"]
         if not isinstance(grid, dict):
             raise ParseError("'grid' must be an object with a 'per_axis' field")
-        grid_pa = grid.get("per_axis", grid_pa)
-        if not isinstance(grid_pa, int) or isinstance(grid_pa, bool) or grid_pa < 4:
+        grid_pa = int_from_json(grid.get("per_axis", grid_pa), "grid 'per_axis'")
+        if grid_pa < 4:
             raise ParseError(f"grid 'per_axis' must be an integer >= 4, got {grid_pa!r}")
     raw = req.get("points", [])
     if not isinstance(raw, list):
@@ -292,10 +273,8 @@ def _read_points(req, n: int, grid_pa: int) -> tuple[list[np.ndarray], int]:
     return points, grid_pa
 
 
-def cmd_charfn(args) -> int:
-    cfg = _config(args)
-    started = time.monotonic()
-    t, window = tuple_from_json(_load_json(args.tuple_file), cfg.tolerances)
+def cmd_charfn(args, tol: Tolerances) -> tuple[dict, int]:
+    t, window = tuple_from_json(_load_json(args.tuple_file), tol)
     mask = _file_mask(args, window)
     verdict = is_beurling(t, mask)
     if not (verdict.holds and verdict.szego_ok):
@@ -305,48 +284,41 @@ def cmd_charfn(args) -> int:
         )
     f = build_charfn(t, build_defects(t, mask))
 
-    points, grid_pa = [], cfg.grid_per_axis
+    points, grid_pa = [], args.grid
     if args.points_file is not None:
         points, grid_pa = _read_points(_load_json(args.points_file), t.n, grid_pa)
     inner = inner_residual(f, torus_grid(t.n, grid_pa))
-    sampled = default_points(t.n, seed=cfg.seed)
+    sampled = default_points(t.n, seed=args.seed)
     values = f.eval(np.reshape(list(sampled) + points, (-1, t.n)))
     max_norm = float(np.max(spec_norms(values)))
-    report = {
-        "charfn_summary": {
-            "n": t.n,
-            "dim": t.dim,
-            "input_dim": f.input_dim,
-            "output_dim": f.output_dim,
-            "windowed": mask is not None,
-            "grid_per_axis": grid_pa,
-            "inner_residual": inner,
-            "max_sampled_norm": max_norm,
-            "points": [
-                {"w": complex_to_json(w), "matrix": complex_to_json(m)}
-                for w, m in zip(points, values[len(sampled) :])
-            ],
-        },
-        "provenance": _provenance("charfn", cfg, started),
+    summary = {
+        "n": t.n,
+        "dim": t.dim,
+        "input_dim": f.input_dim,
+        "output_dim": f.output_dim,
+        "windowed": mask is not None,
+        "grid_per_axis": grid_pa,
+        "inner_residual": inner,
+        "max_sampled_norm": max_norm,
+        "points": [
+            {"w": complex_to_json(w), "matrix": complex_to_json(m)}
+            for w, m in zip(points, values[len(sampled) :])
+        ],
     }
-    _emit(report, cfg)
-    return 0
+    return {"charfn_summary": summary}, 0
 
 
-def cmd_hardy(args) -> int:
-    cfg = _config(args)
-    started = time.monotonic()
+def cmd_hardy(args, tol: Tolerances) -> tuple[dict, int]:
     sym = symbol_from_json(_load_json(args.symbol_file))
-    degree = cfg.truncation_degree or 6
-    margin = max(cfg.window_margin, 1)
+    degree = args.degree or 6
     space = build_space(sym.n, degree, sym.input_dim)
-    model = quotient_model(space, sym, cfg.tolerances, cfg.grid_per_axis, margin)
-    rep = structural_checks(model, cfg.tolerances)
+    model = quotient_model(space, sym, tol, args.grid, args.window or 1)
+    rep = structural_checks(model, tol)
     degrees = list(range(2, max(degree, 6) + 1))
     growth = None
     if sym.n >= 2 and not is_constant(sym):  # the symbols ahern_clark_growth covers
         growth = {"degrees": degrees, "quotient_dims": ahern_clark_growth(sym, degrees)}
-    report = {
+    body = {
         "structural_checks": {
             "residuals": _jsonable(rep.residuals),
             "dims": _jsonable(rep.dims),
@@ -361,39 +333,29 @@ def cmd_hardy(args) -> int:
             "reach": _jsonable(model.reach),
         },
         "growth": growth,
-        "provenance": _provenance("hardy", cfg, started),
     }
-    _emit(report, cfg)
-    return 0
+    return body, 0
 
 
-def cmd_dilate(args) -> int:
-    cfg = _config(args)
-    started = time.monotonic()
-    t, _ = tuple_from_json(_load_json(args.tuple_file), cfg.tolerances)
-    d = build_dilation(t, cfg.truncation_degree)
-    report = {
-        "dilation_defects": {
-            "degree": d.degree,
-            "coeff_rank": d.coeff_basis.dim,
-            "space_dim": d.space.dim,
-            "tail_bound": _jsonable(d.tail_bound),
-            "isometry": isometry_defect(d),
-            "intertwining": intertwining_defect(d),
-            "minimality": minimality_defect(d),
-            "model_equivalence": model_equivalence_defect(d),
-            "image_invariance": image_invariance_defect(d),
-        },
-        "provenance": _provenance("dilate", cfg, started),
+def cmd_dilate(args, tol: Tolerances) -> tuple[dict, int]:
+    t, _ = tuple_from_json(_load_json(args.tuple_file), tol)
+    d = build_dilation(t, args.degree)
+    defects = {
+        "degree": d.degree,
+        "coeff_rank": d.coeff_basis.dim,
+        "space_dim": d.space.dim,
+        "tail_bound": _jsonable(d.tail_bound),
+        "isometry": isometry_defect(d),
+        "intertwining": intertwining_defect(d),
+        "minimality": minimality_defect(d),
+        "model_equivalence": model_equivalence_defect(d),
+        "image_invariance": image_invariance_defect(d),
     }
-    _emit(report, cfg)
-    return 0
+    return {"dilation_defects": defects}, 0
 
 
-def cmd_coincide(args) -> int:
-    cfg = _config(args)
-    started = time.monotonic()
-    t, window = tuple_from_json(_load_json(args.tuple_file), cfg.tolerances)
+def cmd_coincide(args, tol: Tolerances) -> tuple[dict, int]:
+    t, window = tuple_from_json(_load_json(args.tuple_file), tol)
     obj = _load_json(args.unitary_file)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("unitary file must be an object with a 'matrix' field")
@@ -401,37 +363,23 @@ def cmd_coincide(args) -> int:
     if sigma.shape[0] != sigma.shape[1]:
         raise ParseError("unitary 'matrix' must be square with [re, im] entries")
     mask = _file_mask(args, window)
-    pts = default_points(t.n, seed=cfg.seed)
+    pts = default_points(t.n, seed=args.seed)
     s, co = coincidence_from_unitary(t, sigma, mask=mask, points=pts)
-    report = {
-        "coincidence": {
-            "residual": co.residual,
-            "input_dim": co.tau.shape[0],
-            "output_dim": co.tau_star.shape[0],
-            "tau": complex_to_json(co.tau),
-            "tau_star": complex_to_json(co.tau_star),
-        },
-        "provenance": _provenance("coincide", cfg, started),
+    coincidence = {
+        "residual": co.residual,
+        "input_dim": co.tau.shape[0],
+        "output_dim": co.tau_star.shape[0],
+        "tau": complex_to_json(co.tau),
+        "tau_star": complex_to_json(co.tau_star),
     }
-    _emit(report, cfg)
-    return 0
+    return {"coincidence": coincidence}, 0
 
 
-def cmd_suite(args) -> int:
-    cfg = _config(args)
-    started = time.monotonic()
-    checks = run_battery(cfg.seed)
+def cmd_suite(args, tol: Tolerances) -> tuple[dict, int]:
+    checks = run_battery(args.seed)
     all_passed = all(c.passed for c in checks)
-    report = {
-        "suite": {
-            "seed": cfg.seed,
-            "checks": [_jsonable(c) for c in checks],
-            "all_passed": all_passed,
-        },
-        "provenance": _provenance("suite", cfg, started),
-    }
-    _emit(report, cfg)
-    return 0 if all_passed else 1
+    suite = {"seed": args.seed, "checks": [_jsonable(c) for c in checks], "all_passed": all_passed}
+    return {"suite": suite}, 0 if all_passed else 1
 
 
 _GATES: dict[str, tuple[tuple[type, int], ...]] = {
@@ -442,20 +390,19 @@ _GATES: dict[str, tuple[tuple[type, int], ...]] = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
+    tol = DEFAULT_TOL if args.tol is None else Tolerances(tol_structural=args.tol)
     try:
-        return args.func(args)
+        body, code = args.func(args, tol)
     except np.linalg.LinAlgError as exc:
         print(f"polydisc {args.command}: linear algebra failed: {exc}", file=sys.stderr)
         return 2
     except PolydiscError as exc:
-        for klass, code in _GATES.get(args.command, ()):
-            if isinstance(exc, klass):
-                print(f"polydisc {args.command}: {exc}", file=sys.stderr)
-                return code
         print(f"polydisc {args.command}: {exc}", file=sys.stderr)
-        return 2
+        return next((gate for klass, gate in _GATES.get(args.command, ()) if isinstance(exc, klass)), 2)
+    _emit({**body, "provenance": _provenance(args, tol, started)}, args)
+    return code
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ from .linalg import (
     stack_chunks,
     zero_cut,
 )
-from .tuples import CTuple, classical_defect_sq, complex_from_json, complex_to_json, validate
+from .tuples import CTuple, classical_defect_sq, complex_from_json, complex_to_json, int_from_json, validate
 
 DIMENSION_CAP = 10**6
 # Bytes of a model: its D x (monomials * input_dim) symbol matrix and the
@@ -510,12 +510,12 @@ def symbol_from_json(obj) -> InnerSymbol:
         raise ParseError("symbol node must be an object with a 'kind' field")
     kind = obj["kind"]
     try:
-        n = int(obj["n"])
+        n = int_from_json(obj["n"], f"{kind!r} field 'n'")
         if kind == "monomial":
-            return monomial_symbol(n, obj["exponent"])
+            return monomial_symbol(n, [int_from_json(e, "monomial exponent entry") for e in obj["exponent"]])
         if kind == "blaschke1":
             zeros = complex_from_json(obj["zeros"], (None,), "blaschke1 zeros")
-            return blaschke_symbol(n, int(obj["variable"]), zeros)
+            return blaschke_symbol(n, int_from_json(obj["variable"], "blaschke1 field 'variable'"), zeros)
         if kind == "unitary":
             return unitary_symbol(n, complex_from_json(obj["matrix"], (None, None), "unitary matrix"))
         if kind == "blockdiag":
@@ -652,8 +652,9 @@ class StructuralReport:
         return dims_ok and all(v <= self.threshold for v in self.residuals.values())
 
     def worst(self) -> tuple[str, float]:
-        name = max(self.residuals, key=lambda k: self.residuals[k])
-        return name, self.residuals[name]
+        """The largest residual and its name; ("", 0.0) for an empty report."""
+        name = max(self.residuals, key=lambda k: self.residuals[k], default="")
+        return name, self.residuals.get(name, 0.0)
 
 
 def structural_checks(
@@ -748,10 +749,11 @@ def structural_checks(
     residuals["defect_invariance"] = invar
 
     # delta_ij columns stay inside the truncated defect space D_{i,C}.
+    truncated_spaces = [range_basis(mask1 @ full_truncated_defect(t, i) @ mask1, tol) for i in range(n)]
     rng_incl = 0.0
     for i, j in itertools.permutations(range(n), 2):
         delta = mask1 @ joint_commutator(t, i, j) @ mask1
-        target = range_basis(mask1 @ full_truncated_defect(t, i) @ mask1, tol)
+        target = truncated_spaces[i]
         if target.dim:
             rng_incl = max(rng_incl, containment_residual(delta, target))
         else:
@@ -764,17 +766,19 @@ def structural_checks(
     for j in range(n):
         pulled = mq[j].conj().T @ theta_cols
         lhs = range_basis(mask1 @ (mask1 @ pulled), tol)  # windowed span of windowed columns
-        rhs = range_basis(mask1 @ full_truncated_defect(t, j) @ mask1, tol)
-        fs_formula = max(fs_formula, projector_residual(lhs, rhs))
+        fs_formula = max(fs_formula, projector_residual(lhs, truncated_spaces[j]))
     residuals["truncated_defect_space_formula"] = fs_formula
 
     # Wandering subspace machinery.  Truncation artifacts in the submodule
     # live strictly above the exact window (a symbol column is corrupted
     # only when its degree overflows the box), so wandering readings mask
     # at the full window, not the shrunk one; shrinking further would
-    # erase generators whose degree equals the symbol reach.
+    # erase generators whose degree equals the symbol reach.  Each W_P is
+    # windowed once per row mask; the K_1 spans are read only when n >= 2.
     wander = wandering_subspaces(model, tol)
-    w_masked = masked_span(wander[tuple(range(n))].basis, keep0, tol)
+    span0 = {p: masked_span(wp.basis, keep0, tol) for p, wp in wander.items()}
+    span1 = {p: masked_span(wp.basis, keep1, tol) for p, wp in wander.items() if n >= 2}
+    w_masked = span0[tuple(range(n))]
     w = w_masked.basis
     dims["wandering"] = w_masked.dim
 
@@ -790,18 +794,11 @@ def structural_checks(
                 if j in pset:
                     continue
                 shifted = shift_apply(space, j, wp.basis) * keep1[:, None]
-                wl_invar = max(
-                    wl_invar,
-                    containment_residual(shifted, masked_span(wp.basis, keep0, tol)),
-                )
-                bigger = wander[tuple(sorted(pset + (j,)))]
-                inside = masked_span(wp.basis, keep1, tol).basis
+                wl_invar = max(wl_invar, containment_residual(shifted, span0[pset]))
+                inside = span1[pset].basis
                 z_wp = masked_span(shift_apply(space, j, wp.basis), keep1, tol).basis
                 split = masked_span(inside - z_wp @ (z_wp.conj().T @ inside), keep1, tol)
-                wl_split = max(
-                    wl_split,
-                    projector_residual(split, masked_span(bigger.basis, keep1, tol)),
-                )
+                wl_split = max(wl_split, projector_residual(split, span1[tuple(sorted(pset + (j,)))]))
     residuals["wandering_shift_invariance"] = wl_invar
     residuals["wandering_splitting"] = wl_split
 
@@ -811,7 +808,7 @@ def structural_checks(
     if n >= 2:
         for j in range(n):
             rest = tuple(i for i in range(n) if i != j)
-            wjc = masked_span(wander[rest].basis, keep0, tol).basis
+            wjc = span0[rest].basis
             v = mq[j] * keep0[:, None]
             diff = w @ (w.conj().T @ v) - wjc @ (wjc.conj().T @ v)
             wj_res = max(wj_res, spec_norm(diff))

@@ -36,7 +36,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_structural", "tol_rank", "tol_psd_clamp", "tol_pure"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

@@ -279,6 +279,14 @@ def complex_to_json(a) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
+def int_from_json(value, what: str) -> int:
+    """An integer field of an input file; a JSON float, string, null or
+    boolean is a ParseError, never converted."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def complex_from_json(entries, shape, what: str) -> np.ndarray:
     """Read nested [re, im] pairs back into a complex array.
 
@@ -322,9 +330,11 @@ def tuple_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[CTuple, np.ndar
     for key in ("n", "dim", "matrices"):
         if key not in obj:
             raise ParseError(f"tuple file missing field {key!r}")
-    n, dim = obj["n"], obj["dim"]
-    if not (isinstance(n, int) and isinstance(dim, int) and n >= 1 and dim >= 1):
+    n, dim = int_from_json(obj["n"], "field 'n'"), int_from_json(obj["dim"], "field 'dim'")
+    if n < 1 or dim < 1:
         raise ParseError("fields 'n' and 'dim' must be positive integers")
+    if not isinstance(obj["matrices"], list):
+        raise ParseError("field 'matrices' must be a list")
     if len(obj["matrices"]) != n:
         raise ParseError(f"expected {n} matrices, got {len(obj['matrices'])}")
     mats = [complex_from_json(m, (dim, dim), f"matrix {i}") for i, m in enumerate(obj["matrices"])]

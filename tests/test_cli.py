@@ -177,7 +177,13 @@ def _points(*points, per_axis=8):
 
 
 NAN = float("nan")
+SCALAR = [[[[0.5, 0.0]]]]
 MALFORMED = {
+    "classify-matrices-int": ("classify", {"n": 1, "dim": 1, "matrices": 5}),
+    "classify-matrices-null": ("classify", {"n": 1, "dim": 1, "matrices": None}),
+    "classify-n-true": ("classify", {"n": True, "dim": 1, "matrices": SCALAR}),
+    "classify-dim-true": ("classify", {"n": 1, "dim": True, "matrices": SCALAR}),
+    "classify-window-missing": ("classify-window", None),
     "coincide-unitary-nan": ("coincide", {"matrix": [[[NAN, 0.0]]]}),
     "coincide-unitary-string": ("coincide", {"matrix": [[["a", 0.0]]]}),
     "charfn-point-nan": ("charfn", _points([[NAN, 0.0]])),
@@ -187,6 +193,10 @@ MALFORMED = {
     "charfn-grid-too-small": ("charfn", _points(per_axis=1)),
     "charfn-window-huge": ("charfn-window", [[[1e200, 0.0]]]),
     "hardy-blaschke-zero-nan": ("hardy", {"kind": "blaschke1", "n": 1, "variable": 0, "zeros": [[NAN, 0.0]]}),
+    "hardy-exponent-float": ("hardy", {"kind": "monomial", "n": 2, "exponent": [1.5, 0]}),
+    "hardy-exponent-true": ("hardy", {"kind": "monomial", "n": 2, "exponent": [True, 0]}),
+    "hardy-variable-float": ("hardy", {"kind": "blaschke1", "n": 1, "variable": 0.9, "zeros": [[0.3, 0.0]]}),
+    "hardy-n-string": ("hardy", {"kind": "monomial", "n": "2", "exponent": [1, 0]}),
 }
 
 
@@ -199,6 +209,8 @@ def test_malformed_input_exits_2(tmp_path, case):
     path = write_json(tmp_path / "t.json", tuple_obj)
     data = write_json(tmp_path / "d.json", payload)  # json writes NaN
     argv = {
+        "classify": ["classify", data],
+        "classify-window": ["classify", path, "--window", "0"],
         "coincide": ["coincide", path, data],
         "charfn": ["charfn", path, data],
         "charfn-window": ["charfn", path, "--window", "0"],
@@ -207,6 +219,20 @@ def test_malformed_input_exits_2(tmp_path, case):
     proc = subprocess.run([sys.executable, "-m", "polydisc.cli", *argv], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, tol):
+    """A NaN tolerance makes every gate comparison false, so this
+    non-commuting pair would be reported as commuting."""
+    pair = [np.array([[0, 0.5], [0, 0]]), np.array([[0, 0], [0.5, 0]])]
+    path = write_json(tmp_path / "t.json", {"n": 2, "dim": 2, "matrices": [mat_json(m) for m in pair]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "polydisc.cli", "classify", path, "--tol", tol],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--tol must be a finite number >= 0" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command, code", [("hardy", 4), ("coincide", 5)], ids=["hardy", "coincide"])

@@ -311,6 +311,7 @@ def test_quotient_model_constant_unitary():
     assert m.quotient_dim == 0
     report = structural_checks(m)
     assert report.passed and report.residuals == {}
+    assert report.worst() == ("", 0.0)
 
 
 def test_quotient_model_z1z2_dimension():
@@ -397,6 +398,38 @@ def test_wandering_subspaces_take_one_range_basis_per_variable(monkeypatch, n, d
     assert calls == {"range_basis": n, "wandering_subspaces": 1}
     assert structural_checks(model).passed
     assert calls["wandering_subspaces"] == 2
+
+
+def test_structural_checks_factor_each_windowed_subspace_once(monkeypatch):
+    """At n = 3, structural_checks windows each W_P once per row mask and
+    builds the truncated defect space D_{i,C} once per variable: no
+    (vectors, mask) pair reaches masked_span twice."""
+    model = quotient_model(build_space(3, 3, 1), monomial_symbol(3, (2, 1, 1)))
+    spans, defects, calls = [], [], {"range_basis": 0}
+    masked_span = polydisc.hardy.masked_span
+    full_truncated_defect = polydisc.hardy.full_truncated_defect
+    range_basis = polydisc.hardy.range_basis
+
+    def counted_span(vectors, keep, *args, **kwargs):
+        spans.append((vectors, keep.tobytes()))  # holding vectors keeps their ids distinct
+        return masked_span(vectors, keep, *args, **kwargs)
+
+    def counted_defect(t, i):
+        defects.append(i)
+        return full_truncated_defect(t, i)
+
+    def counted_basis(*args, **kwargs):
+        calls["range_basis"] += 1
+        return range_basis(*args, **kwargs)
+
+    monkeypatch.setattr(polydisc.hardy, "masked_span", counted_span)
+    monkeypatch.setattr(polydisc.hardy, "full_truncated_defect", counted_defect)
+    monkeypatch.setattr(polydisc.hardy, "range_basis", counted_basis)
+    assert structural_checks(model).passed
+    keys = [(id(vectors), keep) for vectors, keep in spans]
+    assert len(set(keys)) == len(keys) == 33  # 7 W_P twice, theta, 9 z_j W_P, 9 splits
+    assert defects == [0, 1, 2]
+    assert calls["range_basis"] == 33 + 14  # 3 M_i S, 3 D_i, 3 D_{i,C}, 3 pulled, W_eff, joint
 
 
 @pytest.mark.parametrize(

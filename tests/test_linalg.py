@@ -42,6 +42,8 @@ def test_tolerances_defaults():
 def test_tolerances_rejects_negative():
     with pytest.raises(ValueError):
         Tolerances(tol_structural=-1e-3)
+    with pytest.raises(ValueError):  # NaN would make every gate comparison false
+        Tolerances(tol_rank=float("nan"))
 
 
 def test_spec_norm_matches_svd():
