@@ -260,9 +260,7 @@ def _read_points(req, n: int, grid_pa: int) -> tuple[list[np.ndarray], int]:
         grid = req["grid"]
         if not isinstance(grid, dict):
             raise ParseError("'grid' must be an object with a 'per_axis' field")
-        grid_pa = int_from_json(grid.get("per_axis", grid_pa), "grid 'per_axis'")
-        if grid_pa < 4:
-            raise ParseError(f"grid 'per_axis' must be an integer >= 4, got {grid_pa!r}")
+        grid_pa = int_from_json(grid.get("per_axis", grid_pa), "grid 'per_axis'", 4)
     raw = req.get("points", [])
     if not isinstance(raw, list):
         raise ParseError("'points' must be a list")

@@ -510,12 +510,12 @@ def symbol_from_json(obj) -> InnerSymbol:
         raise ParseError("symbol node must be an object with a 'kind' field")
     kind = obj["kind"]
     try:
-        n = int_from_json(obj["n"], f"{kind!r} field 'n'")
+        n = int_from_json(obj["n"], f"{kind!r} field 'n'", 1)
         if kind == "monomial":
-            return monomial_symbol(n, [int_from_json(e, "monomial exponent entry") for e in obj["exponent"]])
+            return monomial_symbol(n, [int_from_json(e, "monomial exponent entry", 0) for e in obj["exponent"]])
         if kind == "blaschke1":
             zeros = complex_from_json(obj["zeros"], (None,), "blaschke1 zeros")
-            return blaschke_symbol(n, int_from_json(obj["variable"], "blaschke1 field 'variable'"), zeros)
+            return blaschke_symbol(n, int_from_json(obj["variable"], "blaschke1 field 'variable'", 0), zeros)
         if kind == "unitary":
             return unitary_symbol(n, complex_from_json(obj["matrix"], (None, None), "unitary matrix"))
         if kind == "blockdiag":

@@ -279,11 +279,11 @@ def complex_to_json(a) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def int_from_json(value, what: str) -> int:
-    """An integer field of an input file; a JSON float, string, null or
-    boolean is a ParseError, never converted."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+def int_from_json(value, what: str, minimum: int) -> int:
+    """An integer field of an input file, at least ``minimum``; a JSON
+    float, string, null or boolean is a ParseError, never converted."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParseError(f"{what} must be a JSON integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -330,9 +330,7 @@ def tuple_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[CTuple, np.ndar
     for key in ("n", "dim", "matrices"):
         if key not in obj:
             raise ParseError(f"tuple file missing field {key!r}")
-    n, dim = int_from_json(obj["n"], "field 'n'"), int_from_json(obj["dim"], "field 'dim'")
-    if n < 1 or dim < 1:
-        raise ParseError("fields 'n' and 'dim' must be positive integers")
+    n, dim = int_from_json(obj["n"], "field 'n'", 1), int_from_json(obj["dim"], "field 'dim'", 1)
     if not isinstance(obj["matrices"], list):
         raise ParseError("field 'matrices' must be a list")
     if len(obj["matrices"]) != n:

@@ -197,6 +197,7 @@ MALFORMED = {
     "hardy-exponent-true": ("hardy", {"kind": "monomial", "n": 2, "exponent": [True, 0]}),
     "hardy-variable-float": ("hardy", {"kind": "blaschke1", "n": 1, "variable": 0.9, "zeros": [[0.3, 0.0]]}),
     "hardy-n-string": ("hardy", {"kind": "monomial", "n": "2", "exponent": [1, 0]}),
+    "hardy-n-zero": ("hardy", {"kind": "unitary", "n": 0, "matrix": [[[1.0, 0.0]]]}),
 }
 
 
