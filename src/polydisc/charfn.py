@@ -35,6 +35,9 @@ from .linalg import (
 from .tuples import CTuple, classical_defect, defect_first_kind, is_pure, validate
 
 RESOLVENT_COND_LIMIT = 1e12
+# |w_k| ||T_k|| up to which the resolvent gate passes a factor on its
+# certified bound cond <= (1 + r) / (1 - r) <= 2e6, without an SVD
+BOUND_RADIUS = 1 - 1e-6
 
 
 def _scale(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -56,18 +59,24 @@ def _resolvent_factor(t: CTuple, k: int, wk: np.ndarray) -> np.ndarray:
 def _resolvent_gate(t: CTuple, w: np.ndarray) -> None:
     """The one conditioning gate on the resolvent factors of a (P, n) stack.
 
-    np.linalg.cond runs once per distinct value of each w_k.  Failure raises
-    SingularResolvent for the first point, and within it the first variable,
-    whose factor is over RESOLVENT_COND_LIMIT: the failure a point-by-point
-    evaluation meets first.
+    A factor passes when its condition number is at most
+    RESOLVENT_COND_LIMIT.  With r = |w_k| ||T_k|| < 1 the Neumann series
+    gives ||I - w_k T_k^*|| <= 1 + r and sigma_min >= 1 - r, so every
+    entry with r <= BOUND_RADIUS has cond <= 2e6 and passes with no factor
+    built.  np.linalg.cond runs on the other entries only (r above the
+    radius or not finite), once per distinct value of w_k among them.
+    Failure raises SingularResolvent for the first point, and within it the
+    first variable, whose factor is over RESOLVENT_COND_LIMIT: the failure
+    a point-by-point evaluation meets first.
     """
-    cond = np.empty(w.shape)
+    cond = np.zeros(w.shape)
     for k in range(t.n):
-        values, inverse = np.unique(w[:, k], return_inverse=True)
+        exact = ~(np.abs(w[:, k]) * t.norms[k] <= BOUND_RADIUS)
+        values, inverse = np.unique(w[exact, k], return_inverse=True)
         per_value = np.empty(len(values))
         for chunk in stack_chunks(len(values), 16 * t.dim**2):
             per_value[chunk] = np.linalg.cond(_resolvent_factor(t, k, values[chunk]))
-        cond[:, k] = per_value[inverse]
+        cond[exact, k] = per_value[inverse]
     bad = np.argwhere(~(cond <= RESOLVENT_COND_LIMIT))
     if len(bad):
         p, k = bad[0]

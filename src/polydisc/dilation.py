@@ -95,15 +95,19 @@ def adjoint_powers(t: CTuple, space: HardySpace) -> np.ndarray:
     """T^{*k} for every monomial k of ``space``, in rank order: shape (mono, d, d).
 
     Rank 0 is z^0; T^{*k} = T_i^* T^{*(k - e_i)} with i the first nonzero
-    variable of k, and k - e_i has lower total degree, so a lower rank.
+    variable of k, and k - e_i has total degree one lower.  Each run of
+    monomials with one total degree and one first variable shares T_i^*
+    and reads only the degree below, so it is one batched matmul.
     """
     adjoints = [m.conj().T for m in t]
     first = np.argmax(space.exps > 0, axis=1)
     prev = space.rank(np.maximum(space.exps - np.eye(t.n, dtype=int)[first], 0))
     powers = np.empty((space.mono_count, t.dim, t.dim), dtype=np.complex128)
     powers[0] = np.eye(t.dim)
-    for a in range(1, space.mono_count):
-        powers[a] = adjoints[first[a]] @ powers[prev[a]]
+    # runs of equal (degree, first variable) in rank order; ranks are graded
+    starts = (np.flatnonzero(np.diff(space.exps.sum(axis=1) * t.n + first)) + 1).tolist()
+    for a, b in zip(starts, starts[1:] + [space.mono_count]):
+        powers[a:b] = adjoints[first[a]] @ powers[prev[a:b]]
     return powers
 
 

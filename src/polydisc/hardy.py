@@ -441,9 +441,16 @@ def symbol_matrix(space: HardySpace, sym: InnerSymbol) -> tuple[np.ndarray, tupl
 
 def torus_grid(n: int, per_axis: int) -> np.ndarray:
     """The product grid of the points exp(2 pi i k / per_axis) on the unit
-    torus, as a (per_axis^n, n) stack in itertools.product order."""
+    torus, as a (per_axis^n, n) stack in itertools.product order.
+
+    Refuses, before anything is allocated, a grid whose integer indices and
+    points (8 + 16 bytes per coordinate) exceed HARDY_BYTE_BUDGET."""
     if per_axis < 1:
         raise BadIndex(f"per_axis must be >= 1, got {per_axis}")
+    need = 24 * n * int(per_axis) ** n
+    if need > HARDY_BYTE_BUDGET:
+        raise DimensionOverflow(f"torus grid of {per_axis}^{n} points needs {need >> 20} MiB; "
+                                f"budget {HARDY_BYTE_BUDGET >> 20} MiB")
     angles = np.exp(2j * np.pi * np.arange(per_axis) / per_axis)
     return angles[np.indices((per_axis,) * n).reshape(n, -1).T]
 

@@ -13,7 +13,7 @@ Index convention: operators are numbered 0..n-1 throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +41,21 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class CTuple:
-    """A validated tuple of n commuting contractions on C^dim."""
+    """A validated tuple of n commuting contractions on C^dim.
+
+    ``norms`` holds the spectral norm of each matrix, taken once when the
+    tuple is built: validate checks contractivity with them, and the
+    resolvent gate and classify read them back.
+    """
 
     n: int
     dim: int
     matrices: tuple[np.ndarray, ...]
     tol: Tolerances = DEFAULT_TOL
+    norms: tuple[float, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "norms", tuple(spec_norm(m) for m in self.matrices))
 
     def __iter__(self):
         return iter(self.matrices)
@@ -100,19 +109,19 @@ def validate(matrices, tol: Tolerances = DEFAULT_TOL) -> CTuple:
     for m in mats:
         if m.ndim != 2 or m.shape != (dim, dim):
             raise ShapeMismatch(f"expected all matrices {dim}x{dim}, got {m.shape}")
-    worst, pair = commutation_residual(mats)
-    norms = [spec_norm(m) for m in mats]
-    if pair is not None and worst > tol.tol_structural * max(max(norms), 1.0):
-        raise NotCommuting(pair[0], pair[1], worst)
-    for i, norm in enumerate(norms):
-        if norm > 1.0 + tol.tol_structural:
-            raise NotContraction(i, norm)
     frozen = []
     for m in mats:
         c = m.copy()
         c.flags.writeable = False
         frozen.append(c)
-    return CTuple(len(frozen), dim, tuple(frozen), tol)
+    t = CTuple(len(frozen), dim, tuple(frozen), tol)
+    worst, pair = commutation_residual(mats)
+    if pair is not None and worst > tol.tol_structural * max(max(t.norms), 1.0):
+        raise NotCommuting(pair[0], pair[1], worst)
+    for i, norm in enumerate(t.norms):
+        if norm > 1.0 + tol.tol_structural:
+            raise NotContraction(i, norm)
+    return t
 
 
 def spectral_radii(t: CTuple) -> tuple[float, ...]:
@@ -218,15 +227,14 @@ def _beurling_verdict(t: CTuple, szego_ok: bool, mask) -> BeurlingVerdict:
 def classify(t: CTuple, mask=None) -> Classification:
     """Full classification report for one tuple."""
     res, _ = commutation_residual(t.matrices)
-    norms = tuple(float(spec_norm(m)) for m in t.matrices)
     pure, radii = is_pure(t)
     szego, min_eig = _szego_verdict(t, pure, szego_inverse(t))
     verdict = _beurling_verdict(t, szego, mask)
     return Classification(
-        is_commuting=res <= t.tol.tol_structural * max(max(norms), 1.0),
+        is_commuting=res <= t.tol.tol_structural * max(max(t.norms), 1.0),
         commuting_residual=float(res),
-        is_contractive=all(nm <= 1.0 + t.tol.tol_structural for nm in norms),
-        norms=norms,
+        is_contractive=all(nm <= 1.0 + t.tol.tol_structural for nm in t.norms),
+        norms=t.norms,
         is_pure=pure,
         spectral_radii=radii,
         is_szego=szego,

@@ -246,6 +246,51 @@ def test_singular_point_raises_first_failure_of_the_loop():
     assert first_var.value.k == 0
 
 
+def gate_case(name: str):
+    """(CharFn, point stack) pairs on which the bounded resolvent gate must
+    agree with the exact per-point cond gate of ref_eval."""
+    rng = np.random.default_rng(12)
+    if name.startswith("contraction"):
+        g = random_pure_contraction(rng, 4)
+        f = build_charfn(validate([g * (float(name.split("-")[1]) / spec_norm(g))]))
+    elif name == "shift-model":
+        f = sample_charfn(1, 3, 0)
+    else:
+        # the diagonal tuples of test_singular_point_raises_first_failure_of_the_loop,
+        # and one with an eigenvalue on the torus, singular at a grid point
+        f = sample_charfn(1, 5, 0)
+        lam = np.array([[0.9, 0.5, -0.2, 0.1, 0.3], [0.1j, -0.8, 0.5, 0.2, 0.4]])
+        if name == "diagonal-torus":
+            lam[1, 1] = torus_grid(1, 8)[3, 0]
+        f = dataclasses.replace(f, tuple=validate([np.diag(x) for x in lam[:, : f.tuple.dim]]))
+    grid = torus_grid(f.n, 8)
+    interior = repeated_points(rng, 12, f.n, 12, radius=0.999)
+    return f, {"interior": interior, "grid": grid, "mixed": np.concatenate([interior, grid])}
+
+
+def gate_outcome(evaluate):
+    try:
+        return evaluate()
+    except SingularResolvent as exc:
+        return (exc.k, exc.cond)
+
+
+@pytest.mark.parametrize("points", ["interior", "grid", "mixed"])
+@pytest.mark.parametrize("name", ["contraction-0.5", "contraction-0.95", "contraction-1.0",
+                                  "shift-model", "diagonal", "diagonal-torus"])
+def test_bounded_gate_agrees_with_the_exact_gate(name, points):
+    f, stacks = gate_case(name)
+    w = stacks[points]
+    stack = gate_outcome(lambda: f.eval(w))
+    loop = gate_outcome(lambda: np.array([ref_eval(f, z) for z in w]))
+    if isinstance(loop, tuple):
+        assert stack == loop
+    else:
+        np.testing.assert_array_equal(stack, loop)
+    if name == "diagonal-torus" and points != "interior":
+        assert loop[0] == 1
+
+
 def sample_pair(kind: int, seed: int, dim: int):
     """A Szego pair of size dim: exactly commuting contractions (kind 0) or
     the compression tuple of dim kernel nodes (kind 1), as in c04."""

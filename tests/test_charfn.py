@@ -367,3 +367,29 @@ def test_build_charfn_takes_two_eigh_and_two_svd(n, monkeypatch):
     f = build_charfn(t, build_defects(t))
     assert f.input_dim >= 1 and f.output_dim >= 1
     assert calls == {"eigh": 2, "svd": 2, "norm": 0}
+
+
+def count_cond_calls(monkeypatch, evaluate) -> int:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    original = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    evaluate()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_resolvent_gate_takes_cond_only_past_the_bound(monkeypatch):
+    # |w| ||T|| <= 0.95 certifies cond <= 39: no SVD for any of 16 interior points
+    f = build_charfn(validate([random_pure_contraction(np.random.default_rng(5), 4, norm_max=0.95)]))
+    assert count_cond_calls(monkeypatch, lambda: [f.eval(w) for w in default_points(1, count=16)]) == 0
+    # a torus point of a model whose operators have norm 1 still takes the
+    # exact condition number, one per variable
+    model = quotient_model(build_space(2, 2, 1), monomial_symbol(2, (1, 1)))
+    mt = model_tuple(model)
+    g = build_charfn(mt, build_defects(mt, quotient_mask(model)))
+    assert count_cond_calls(monkeypatch, lambda: g.eval(torus_grid(2, 4)[5])) == 2

@@ -159,6 +159,20 @@ def test_bad_grid_rejected(scalar_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["hardy", "charfn"])
+def test_oversized_grid_refused(tmp_path, command):
+    """A torus grid over HARDY_BYTE_BUDGET exits 2 before anything is allocated."""
+    if command == "hardy":
+        path = write_json(tmp_path / "s.json", {"kind": "monomial", "n": 3, "exponent": [1, 1, 1]})
+        argv = ["hardy", path, "--grid", "10000000"]
+    else:
+        path = write_json(tmp_path / "t.json", tuple_to_json(validate([np.array([[0.5]])])))
+        argv = ["charfn", path, write_json(tmp_path / "p.json", {"points": [], "grid": {"per_axis": 10**8}})]
+    proc = subprocess.run([sys.executable, "-m", "polydisc.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "torus grid" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_classify_non_finite_entry(tmp_path, bad):
     obj = tuple_to_json(validate([np.diag([0.5, 0.25])]))

@@ -7,6 +7,7 @@ import pytest
 
 from polydisc.cli import main
 from polydisc.dilation import (
+    adjoint_powers,
     build_dilation,
     image_invariance_defect,
     intertwining_defect,
@@ -18,7 +19,7 @@ from polydisc.dilation import (
 from polydisc.errors import DimensionOverflow, NotPure, NotSzego
 from polydisc.hardy import build_space
 from polydisc.linalg import range_basis
-from polydisc.sampling import random_nodes
+from polydisc.sampling import random_commuting_tuple, random_nodes
 from polydisc.tuples import CTuple, szego_tuple_from_nodes, tuple_to_json, validate
 
 from .test_hardy import monomials
@@ -37,6 +38,21 @@ def test_select_degree_rules():
     assert select_degree(scalar_tuple(0.99)) == 64  # cap
     nil = validate([np.array([[0.0, 1.0], [0.0, 0.0]])])
     assert select_degree(nil) == 2  # nilpotent: dim
+
+
+@pytest.mark.parametrize("n, degree, dim", [(1, 12, 3), (2, 15, 3), (2, 9, 1), (3, 6, 4)])
+def test_adjoint_powers_match_the_monomial_loop(n, degree, dim):
+    t = validate(random_commuting_tuple(np.random.default_rng(n), n, dim))
+    space = build_space(n, degree, 1)
+    loop = np.empty((space.mono_count, dim, dim), dtype=complex)
+    for a, k in enumerate(monomials(space)):
+        first = next((i for i, ki in enumerate(k) if ki), None)
+        if first is None:
+            loop[a] = np.eye(dim)
+        else:
+            down = tuple(ki - (i == first) for i, ki in enumerate(k))
+            loop[a] = t[first].conj().T @ loop[space.rank(down)]
+    np.testing.assert_array_equal(adjoint_powers(t, space), loop)
 
 
 def test_build_dilation_scalar_coefficients():

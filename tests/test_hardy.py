@@ -95,6 +95,21 @@ def test_build_space_overflow_and_bad_args():
         build_space(0, 2, 1)
 
 
+def test_torus_grid_refused_before_allocating():
+    # 10^7 points per axis at n = 3 would need 10^21 points; 200^3 points
+    # (8 x 10^6) need 549 MiB of indices and points, over HARDY_BYTE_BUDGET
+    tracemalloc.start()
+    try:
+        for n, per_axis in ((3, 10**7), (3, 200), (2, 3000)):
+            with pytest.raises(DimensionOverflow):
+                torus_grid(n, per_axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert torus_grid(3, 150).shape == (150**3, 3)  # 232 MiB: inside the budget
+
+
 def test_build_space_keeps_only_the_index_arrays():
     # D = 10^6, the DIMENSION_CAP: the exps and rank_of arrays take 30.5 MiB;
     # a second copy of the exponents as Python tuples kept 99 MiB

@@ -8,9 +8,11 @@ from polydisc.errors import (
     ParseError,
     ShapeMismatch,
 )
-from polydisc.linalg import hermitian_part
+import polydisc.tuples
+from polydisc.linalg import hermitian_part, spec_norm
 from polydisc.sampling import random_commuting_tuple, random_nodes
 from polydisc.tuples import (
+    CTuple,
     classical_defect,
     classical_defect_sq,
     classify,
@@ -40,6 +42,22 @@ def bishift(n):
     s = trunc_shift(n + 1)
     eye = np.eye(n + 1)
     return [np.kron(s, eye), np.kron(eye, s)]
+
+
+def test_norms_are_taken_once_per_tuple(monkeypatch):
+    t = validate(random_commuting_tuple(np.random.default_rng(2), 3, 4))
+    assert t.norms == tuple(spec_norm(m) for m in t.matrices)
+    assert CTuple(t.n, t.dim, t.matrices).norms == t.norms  # a tuple built past validate
+    seen = []
+
+    def recorded(a):
+        seen.append(a)
+        return spec_norm(a)
+
+    monkeypatch.setattr(polydisc.tuples, "spec_norm", recorded)
+    c = classify(t)
+    assert c.norms == t.norms
+    assert not any(a is m for a in seen for m in t.matrices)
 
 
 def test_validate_accepts_diagonals():
