@@ -3,11 +3,14 @@ acceptance tests.
 
 Each battery returns CheckResult rows with pinned thresholds; every source
 of randomness is derived from the caller's seed, so a fixed seed gives a
-bit-identical list.
+bit-identical list.  The criteria share no state, so `run_battery` runs
+them in worker processes where the machine has cores to spare.
 """
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -338,18 +341,88 @@ def dilation_form_battery() -> list[CheckResult]:
     return [_leq("c11_dilation_form", worst, 1e-11)]
 
 
+# (label, module attribute, takes the seed) per criterion, in criterion
+# order.  Names, not functions: a worker looks each one up when it runs, so
+# a function swapped on this module (by a tracer or a test) is the one run.
+CRITERIA: tuple[tuple[str, str, bool], ...] = (
+    ("c01", "onevar_reduction", True),
+    ("c02", "blaschke_recovery", True),
+    ("c03", "onevar_inner", True),
+    ("c04", "pair_form_identity", True),
+    ("c05", "coincidence_battery", True),
+    ("c06", "positivity_battery", True),
+    ("c07", "model_suite", False),
+    ("c08", "growth_battery", False),
+    ("c09", "series_battery", True),
+    ("c10", "dilation_battery", True),
+    ("c11", "dilation_form_battery", False),
+)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def worker_count() -> int:
+    """Processes for the criteria: the usable CPUs divided by the threads
+    BLAS runs in each, at most one per criterion.
+
+    BLAS threads are read from the first of BLAS_THREAD_VARS that is a
+    positive integer; with none set, BLAS is taken to use every CPU, so the
+    suite keeps one process rather than compete with it for cores.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas = threads
+            break
+    return max(1, min(len(CRITERIA), cpus // blas))
+
+
+def _run_criterion(criterion: tuple[str, str, bool], seed: int) -> tuple[list[CheckResult], float]:
+    """One criterion's rows and its seconds, in whichever process runs it."""
+    _, name, seeded = criterion
+    fn = globals()[name]
+    start = time.perf_counter()
+    rows = fn(seed) if seeded else fn()
+    return rows, time.perf_counter() - start
+
+
+def timed_battery(seed: int = 42) -> tuple[list[CheckResult], dict[str, float]]:
+    """`run_battery`'s rows, and the seconds each criterion took by label.
+
+    With more than one worker the criteria run on a fork process pool,
+    handed out in criterion order one at a time; otherwise they run here,
+    one after another.  Either way the rows come back in criterion order,
+    bit for bit the same.  Fork, not spawn, so that workers see this
+    module as the caller left it; the executor forks every worker before
+    it starts its own thread.  The pool is shut down and joined before
+    this returns or raises; a criterion's error reaches the caller as
+    itself.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = worker_count()
+    jobs = (CRITERIA, [seed] * len(CRITERIA))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            done = list(pool.map(_run_criterion, *jobs))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    else:
+        done = list(map(_run_criterion, *jobs))
+    rows = [row for criterion_rows, _ in done for row in criterion_rows]
+    seconds = {label: spent for (label, _, _), (_, spent) in zip(CRITERIA, done)}
+    return rows, seconds
+
+
 def run_battery(seed: int = 42) -> list[CheckResult]:
     """All numeric acceptance checks in criterion order."""
-    results: list[CheckResult] = []
-    results += onevar_reduction(seed)
-    results += blaschke_recovery(seed)
-    results += onevar_inner(seed)
-    results += pair_form_identity(seed)
-    results += coincidence_battery(seed)
-    results += positivity_battery(seed)
-    results += model_suite()
-    results += growth_battery()
-    results += series_battery(seed)
-    results += dilation_battery(seed)
-    results += dilation_form_battery()
-    return results
+    return timed_battery(seed)[0]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .battery import run_battery
+from .battery import timed_battery
 from .charfn import (
     build_charfn,
     coincidence_from_unitary,
@@ -194,6 +194,7 @@ def _provenance(args, tol: Tolerances, started: float) -> dict:
         "timestamp": {
             "utc": datetime.now(timezone.utc).isoformat(),
             "wall_seconds": time.monotonic() - started,
+            **vars(args).get("stage_seconds", {}),
         },
     }
 
@@ -235,7 +236,9 @@ def _emit(report: dict, args) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the parsed arguments and the tolerances and returns
-# its report body and exit code; main adds the provenance and writes it.
+# its report body and exit code; main adds the provenance and writes it.  A
+# command that times its stages leaves the seconds in args.stage_seconds,
+# which go under provenance.timestamp, outside the deterministic body.
 
 
 def cmd_classify(args, tol: Tolerances) -> tuple[dict, int]:
@@ -374,7 +377,8 @@ def cmd_coincide(args, tol: Tolerances) -> tuple[dict, int]:
 
 
 def cmd_suite(args, tol: Tolerances) -> tuple[dict, int]:
-    checks = run_battery(args.seed)
+    checks, seconds = timed_battery(args.seed)
+    args.stage_seconds = {"criterion_seconds": seconds}
     all_passed = all(c.passed for c in checks)
     suite = {"seed": args.seed, "checks": [_jsonable(c) for c in checks], "all_passed": all_passed}
     return {"suite": suite}, 0 if all_passed else 1

@@ -6,8 +6,22 @@ Gate errors carry the numerical witness that triggered them.
 """
 
 
+def _restore(cls, args):
+    err = cls.__new__(cls)
+    err.args = args
+    return err
+
+
 class PolydiscError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    Pickles by its message and attributes rather than by calling the
+    constructor again, so an error raised in a worker process reaches the
+    caller with its type, message and witness intact.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args), self.__dict__
 
 
 class NotSquare(PolydiscError):

@@ -829,7 +829,7 @@ def structural_checks(
 
     # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q.
     jd = joint_defect(t, mask=mask1)
-    dims["joint_defect"] = range_basis(jd.matrix, tol).dim
+    dims["joint_defect"] = (jd.space if jd.space is not None else range_basis(jd.matrix, tol)).dim
     qd = model.quotient_dim
     gram = np.zeros((n * qd, n * qd), dtype=np.complex128)
     for i in range(n):

@@ -444,7 +444,7 @@ def test_structural_checks_factor_each_windowed_subspace_once(monkeypatch):
     keys = [(id(vectors), keep) for vectors, keep in spans]
     assert len(set(keys)) == len(keys) == 33  # 7 W_P twice, theta, 9 z_j W_P, 9 splits
     assert defects == [0, 1, 2]
-    assert calls["range_basis"] == 33 + 14  # 3 M_i S, 3 D_i, 3 D_{i,C}, 3 pulled, W_eff, joint
+    assert calls["range_basis"] == 33 + 13  # 3 M_i S, 3 D_i, 3 D_{i,C}, 3 pulled, W_eff; joint reads jd.space
 
 
 @pytest.mark.parametrize(
