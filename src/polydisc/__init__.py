@@ -1,8 +1,8 @@
 """Numerical models of commuting contraction tuples on the polydisc."""
 
 from .errors import PolydiscError
-from .linalg import DEFAULT_TOL, Subspace, Tolerances
+from .linalg import DEFAULT_TOL, Subspace
 
-__all__ = ["DEFAULT_TOL", "PolydiscError", "Subspace", "Tolerances"]
+__all__ = ["DEFAULT_TOL", "PolydiscError", "Subspace"]
 
 __version__ = "0.1.0"

@@ -54,7 +54,7 @@ from .hardy import (
     structural_checks,
     unitary_symbol,
 )
-from .linalg import DEFAULT_TOL, herm_eig, loewner_leq, spec_norms
+from .linalg import herm_eig, loewner_leq, spec_norms
 from .sampling import (
     random_commuting_tuple,
     random_nilpotent_pair,
@@ -176,8 +176,8 @@ def _windowed_models(degree: int) -> list[tuple[str, QuotientModel, CTuple, np.n
     out = []
     for name, sym, _ in SUITE_CASES:
         space = build_space(2, degree, sym.input_dim)
-        model = quotient_model(space, sym, DEFAULT_TOL)
-        mt = model_tuple(model, DEFAULT_TOL)
+        model = quotient_model(space, sym)
+        mt = model_tuple(model)
         out.append((name, model, mt, quotient_mask(model)))
     return out
 
@@ -244,14 +244,14 @@ def model_suite() -> list[CheckResult]:
     for degree in (4, 6, 8):
         models = _windowed_models(degree)
         for (name, sym, core), (_, model, mt, mask) in zip(SUITE_CASES, models):
-            rep = structural_checks(model, DEFAULT_TOL)
+            rep = structural_checks(model)
             worst_structural = max(worst_structural, rep.worst()[1])
             if rep.dims["wandering_effective"] != rep.dims["joint_defect"]:
                 dim_mismatches += 1
             pkg = build_defects(mt, mask)
             joint_min = min(joint_min, pkg.joint.min_eig)
             comm_sq, _ = commutator_defect(mt, mask)
-            verdict = loewner_leq(pkg.joint.matrix, comm_sq, DEFAULT_TOL)
+            verdict = loewner_leq(pkg.joint.matrix, comm_sq)
             dominance_min = min(dominance_min, verdict.witness_min_eig)
             worst_recovery = max(worst_recovery, _recovery_residual(mt, pkg, core))
     return [
@@ -331,8 +331,8 @@ def dilation_form_battery() -> list[CheckResult]:
         worst = max(worst, dilation_form_residual(t, build_dilation(t), build_charfn(t)))
     space1 = build_space(1, 6, 1)
     for exp in ((2,), (3,)):
-        model = quotient_model(space1, monomial_symbol(1, exp), DEFAULT_TOL)
-        mt = model_tuple(model, DEFAULT_TOL)
+        model = quotient_model(space1, monomial_symbol(1, exp))
+        mt = model_tuple(model)
         f = build_charfn(mt, build_defects(mt, quotient_mask(model)))
         worst = max(worst, dilation_form_residual(mt, build_dilation(mt), f))
     for _, model, mt, mask in _windowed_models(4):

@@ -28,11 +28,13 @@ from .hardy import torus_grid  # noqa: F401  (re-exported: the grids of inner_re
 from .linalg import (
     Subspace,
     as_complex,
+    psd_sqrt,
+    refuse_over_budget,
     spec_norm,
     spec_norms,
     stack_chunks,
 )
-from .tuples import CTuple, classical_defect, defect_first_kind, is_pure, validate
+from .tuples import CTuple, defect_first_kind, is_pure, validate
 
 RESOLVENT_COND_LIMIT = 1e12
 # |w_k| ||T_k|| up to which the resolvent gate passes a factor on its
@@ -141,8 +143,9 @@ def eval_onevar(f: CharFn, w) -> np.ndarray:
     spaces, as a matrix from the D_T basis to the D_{T*} basis.
 
     w is a point of shape (1,) or a stack of shape (P, 1) (hardy.point_stack).
-    D_{T*} (for n = 1 the first-kind defect) comes from f.defects; D_T and
-    its range are built here, once per call.
+    Both defects come from f.defects: D_{T*} is the first-kind defect, and
+    D_T^2 = I - T^*T is the joint defect at n = 1, with f's input space as
+    its range; only the root D_T is taken here, once per call.
     """
     t = f.tuple
     if t.n != 1:
@@ -152,7 +155,8 @@ def eval_onevar(f: CharFn, w) -> np.ndarray:
         raise NotPure(f"spectral radius {max(radii)} too close to 1")
     w, single = point_stack(w, t.n)
     mat = t[0]
-    root, basis = classical_defect(mat, t.tol)
+    jd = f.defects.joint
+    root, basis = psd_sqrt(jd.matrix, t.tol), jd.space
     root_star, basis_star = f.defects.first_kind
     _resolvent_gate(t, w)
     f = _resolvent_factor(t, 0, w[:, 0])
@@ -268,9 +272,12 @@ def _formula_coefficient_blocks(t: CTuple, root: np.ndarray, n_deg: int) -> dict
     The formula is a product of the full resolvent series and the finite
     polynomial sum_j (w_j - T_j) prod_{i != j} (I - w_i T_i^*) acting on
     slot j; coefficients come from truncated convolution, exact for every
-    multi-index inside the box.
+    multi-index inside the box.  A box whose blocks (d x nd) and adjoint
+    powers (d x d) exceed BYTE_BUDGET is refused before they are built.
     """
     d, n = t.dim, t.n
+    refuse_over_budget(16 * (n_deg + 1) ** n * d * d * (n + 1),
+                       f"Taylor blocks of {n_deg + 1}^{n} multi-indices at dim {d}")
     adjoints = [m.conj().T for m in t]
     box = list(itertools.product(range(n_deg + 1), repeat=n))
     space = build_space(n, n_deg, 1)

@@ -56,7 +56,7 @@ from .hardy import (
     structural_checks,
     symbol_from_json,
 )
-from .linalg import DEFAULT_TOL, Tolerances, spec_norms
+from .linalg import DEFAULT_TOL, spec_norms
 from .tuples import (
     classify,
     complex_from_json,
@@ -84,6 +84,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# provenance.config key, type and default of each option; a subcommand adds
+# only the options it reads, each with its own help.
+_OPTIONS = {
+    "tol": ("tol_structural", _tolerance, DEFAULT_TOL),
+    "degree": ("truncation_degree", _positive_int(1, "--degree"), None),
+    "grid": ("grid_per_axis", _positive_int(4, "--grid"), 32),
+    "seed": ("seed", int, 42),
+    "window": ("window_margin", _positive_int(0, "--window"), None),
+}
+_TOL = "structural tolerance of every verdict (default 1e-10)"
+_MASK = "apply the tuple file's window mask (the value is not read)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polydisc",
@@ -93,49 +106,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polydisc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, tuple_file=False, symbol_file=False):
-        if tuple_file:
-            p.add_argument("tuple_file", help="tuple JSON file")
-        if symbol_file:
-            p.add_argument("symbol_file", help="inner-symbol JSON file")
-        p.add_argument("--tol", type=_tolerance, default=None,
-                       help="override the structural tolerance")
-        p.add_argument("--degree", type=_positive_int(1, "--degree"), default=None,
-                       help="truncation degree N")
-        p.add_argument("--grid", type=_positive_int(4, "--grid"), default=32,
-                       help="torus grid points per axis")
-        p.add_argument("--seed", type=int, default=42, help="seed for sampled points")
-        p.add_argument("--window", type=_positive_int(0, "--window"), default=None,
-                       help="window margin; also enables the tuple file's window mask")
+    def options(p: argparse.ArgumentParser, func, **helps):
+        """The options of one subcommand, named with their help, then --out
+        and --format, which every subcommand has."""
+        for name, text in helps.items():
+            _, kind, default = _OPTIONS[name]
+            p.add_argument(f"--{name}", type=kind, default=default, help=text)
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("classify", help="classification flags and witnesses")
-    common(p, tuple_file=True)
-    p.set_defaults(func=cmd_classify)
+    p.add_argument("tuple_file", help="tuple JSON file")
+    options(p, cmd_classify, tol=_TOL, window=_MASK)
 
     p = sub.add_parser("charfn", help="characteristic function evaluation")
-    common(p, tuple_file=True)
+    p.add_argument("tuple_file", help="tuple JSON file")
     p.add_argument("points_file", nargs="?", default=None,
                    help="evaluation request JSON with points and grid")
-    p.set_defaults(func=cmd_charfn)
+    options(p, cmd_charfn, tol=_TOL, grid="torus grid points per axis of the inner check",
+            seed="seed of the sampled interior points", window=_MASK)
 
     p = sub.add_parser("hardy", help="quotient model structural report")
-    common(p, symbol_file=True)
-    p.set_defaults(func=cmd_hardy)
+    p.add_argument("symbol_file", help="inner-symbol JSON file")
+    options(p, cmd_hardy, tol=_TOL, degree="truncation degree N (default 6)",
+            grid="torus grid points per axis of the inner check",
+            window="window margin of the model (default 1)")
 
     p = sub.add_parser("dilate", help="dilation defect report")
-    common(p, tuple_file=True)
-    p.set_defaults(func=cmd_dilate)
+    p.add_argument("tuple_file", help="tuple JSON file")
+    options(p, cmd_dilate, tol=_TOL, degree="truncation degree N (default: chosen from the spectral radii)")
 
     p = sub.add_parser("coincide", help="coincidence under a unitary conjugation")
-    common(p, tuple_file=True)
+    p.add_argument("tuple_file", help="tuple JSON file")
     p.add_argument("unitary_file", help="JSON file with a 'matrix' field")
-    p.set_defaults(func=cmd_coincide)
+    options(p, cmd_coincide, tol=_TOL, seed="seed of the sampled interior points", window=_MASK)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
-    common(p)
-    p.set_defaults(func=cmd_suite)
+    options(p, cmd_suite, seed="seed of the battery's random populations")
     return parser
 
 
@@ -174,18 +182,14 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _provenance(args, tol: Tolerances, started: float) -> dict:
+def _provenance(args, started: float) -> dict:
+    config = {key: vars(args)[name] for name, (key, _, _) in _OPTIONS.items() if name in vars(args)}
+    if "window" in vars(args):
+        config["window_margin"] = args.window or 0
+    config["format"] = args.format
     return {
         "command": args.command,
-        "config": {
-            "tol_structural": tol.tol_structural,
-            "tol_rank": tol.tol_rank,
-            "truncation_degree": args.degree,
-            "grid_per_axis": args.grid,
-            "seed": args.seed,
-            "window_margin": args.window or 0,
-            "format": args.format,
-        },
+        "config": config,
         "versions": {
             "polydisc": __version__,
             "numpy": np.__version__,
@@ -235,14 +239,14 @@ def _emit(report: dict, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each takes the parsed arguments and the tolerances and returns
-# its report body and exit code; main adds the provenance and writes it.  A
+# Subcommands: each takes the parsed arguments and returns its report body
+# and exit code; main adds the provenance and writes it.  A
 # command that times its stages leaves the seconds in args.stage_seconds,
 # which go under provenance.timestamp, outside the deterministic body.
 
 
-def cmd_classify(args, tol: Tolerances) -> tuple[dict, int]:
-    t, window = tuple_from_json(_load_json(args.tuple_file), tol)
+def cmd_classify(args) -> tuple[dict, int]:
+    t, window = tuple_from_json(_load_json(args.tuple_file), args.tol)
     return {"classification": _jsonable(classify(t, _file_mask(args, window)))}, 0
 
 
@@ -274,8 +278,8 @@ def _read_points(req, n: int, grid_pa: int) -> tuple[list[np.ndarray], int]:
     return points, grid_pa
 
 
-def cmd_charfn(args, tol: Tolerances) -> tuple[dict, int]:
-    t, window = tuple_from_json(_load_json(args.tuple_file), tol)
+def cmd_charfn(args) -> tuple[dict, int]:
+    t, window = tuple_from_json(_load_json(args.tuple_file), args.tol)
     mask = _file_mask(args, window)
     verdict = is_beurling(t, mask)
     if not (verdict.holds and verdict.szego_ok):
@@ -309,12 +313,12 @@ def cmd_charfn(args, tol: Tolerances) -> tuple[dict, int]:
     return {"charfn_summary": summary}, 0
 
 
-def cmd_hardy(args, tol: Tolerances) -> tuple[dict, int]:
+def cmd_hardy(args) -> tuple[dict, int]:
     sym = symbol_from_json(_load_json(args.symbol_file))
     degree = args.degree or 6
     space = build_space(sym.n, degree, sym.input_dim)
-    model = quotient_model(space, sym, tol, args.grid, args.window or 1)
-    rep = structural_checks(model, tol)
+    model = quotient_model(space, sym, args.grid, args.window or 1)
+    rep = structural_checks(model, args.tol)
     degrees = list(range(2, max(degree, 6) + 1))
     growth = None
     if sym.n >= 2 and not is_constant(sym):  # the symbols ahern_clark_growth covers
@@ -338,8 +342,8 @@ def cmd_hardy(args, tol: Tolerances) -> tuple[dict, int]:
     return body, 0
 
 
-def cmd_dilate(args, tol: Tolerances) -> tuple[dict, int]:
-    t, _ = tuple_from_json(_load_json(args.tuple_file), tol)
+def cmd_dilate(args) -> tuple[dict, int]:
+    t, _ = tuple_from_json(_load_json(args.tuple_file), args.tol)
     d = build_dilation(t, args.degree)
     defects = {
         "degree": d.degree,
@@ -355,8 +359,8 @@ def cmd_dilate(args, tol: Tolerances) -> tuple[dict, int]:
     return {"dilation_defects": defects}, 0
 
 
-def cmd_coincide(args, tol: Tolerances) -> tuple[dict, int]:
-    t, window = tuple_from_json(_load_json(args.tuple_file), tol)
+def cmd_coincide(args) -> tuple[dict, int]:
+    t, window = tuple_from_json(_load_json(args.tuple_file), args.tol)
     obj = _load_json(args.unitary_file)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("unitary file must be an object with a 'matrix' field")
@@ -376,7 +380,7 @@ def cmd_coincide(args, tol: Tolerances) -> tuple[dict, int]:
     return {"coincidence": coincidence}, 0
 
 
-def cmd_suite(args, tol: Tolerances) -> tuple[dict, int]:
+def cmd_suite(args) -> tuple[dict, int]:
     checks, seconds = timed_battery(args.seed)
     args.stage_seconds = {"criterion_seconds": seconds}
     all_passed = all(c.passed for c in checks)
@@ -394,16 +398,15 @@ _GATES: dict[str, tuple[tuple[type, int], ...]] = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
-    tol = DEFAULT_TOL if args.tol is None else Tolerances(tol_structural=args.tol)
     try:
-        body, code = args.func(args, tol)
+        body, code = args.func(args)
     except np.linalg.LinAlgError as exc:
         print(f"polydisc {args.command}: linear algebra failed: {exc}", file=sys.stderr)
         return 2
     except PolydiscError as exc:
         print(f"polydisc {args.command}: {exc}", file=sys.stderr)
         return next((gate for klass, gate in _GATES.get(args.command, ()) if isinstance(exc, klass)), 2)
-    _emit({**body, "provenance": _provenance(args, tol, started)}, args)
+    _emit({**body, "provenance": _provenance(args, started)}, args)
     return code
 
 

@@ -33,6 +33,8 @@ from .linalg import (
 )
 from .tuples import CTuple, classical_defect_sq, defect_first_kind, is_pure
 
+SERIES_CAP = 200  # longest series series_cutoff returns
+
 
 def delta_map(x, a) -> np.ndarray:
     """The completely positive map A -> X A X^H."""
@@ -133,7 +135,7 @@ def joint_defect(t: CTuple, mask=None) -> JointDefect:
     herm = hermitian_part(_assemble_blocks(diag, off))
     vals, _ = herm_eig(herm, t.tol)
     min_eig = float(vals[-1])
-    space = range_basis(herm, t.tol) if min_eig >= -psd_clamp(vals, t.tol) else None
+    space = range_basis(herm) if min_eig >= -psd_clamp(vals) else None
     return JointDefect(herm, space, min_eig)
 
 
@@ -150,20 +152,20 @@ def commutator_defect(t: CTuple, mask=None) -> tuple[np.ndarray, float]:
     return herm, float(vals[-1])
 
 
-def series_cutoff(t: CTuple, tol: float | None = None, cap: int = 200) -> int:
-    """Series length making the geometric tail fall below tol.
+def series_cutoff(t: CTuple, tol: float | None = None) -> int:
+    """Series length making the geometric tail fall below tol (default t.tol).
 
-    Uses ceil(log tol / (2 log rho_max)); nilpotent-ish tuples (rho below
-    1e-6) terminate exactly once the cutoff reaches the dimension.
+    Uses ceil(log tol / (2 log rho_max)), at most SERIES_CAP; nilpotent-ish
+    tuples (rho below 1e-6) terminate exactly at the dimension.
     """
-    tol = t.tol.tol_structural if tol is None else tol
+    tol = t.tol if tol is None else tol
     _, radii = is_pure(t)
     rho = max(radii)
     if rho < 1e-6:
-        return min(cap, t.dim)
+        return min(SERIES_CAP, t.dim)
     if rho >= 1.0:
-        return cap
-    return max(1, min(cap, ceil(log(tol) / (2.0 * log(rho)))))
+        return SERIES_CAP
+    return max(1, min(SERIES_CAP, ceil(log(tol) / (2.0 * log(rho)))))
 
 
 def _geometric_sum(x: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
@@ -215,9 +217,9 @@ def build_defects(t: CTuple, mask=None) -> DefectPackage:
     The first-kind defect is stored raw (adjoint-side objects are
     artifact-free on truncated models); the joint defect is masked when a
     window projector is supplied.  A non-Szego tuple gets first_kind=None
-    rather than an error.  The truncated, commutator and classical defects
-    are functions of their own (truncated_defect, commutator_defect,
-    tuples.classical_defect), computed where they are read.
+    rather than an error.  At n = 1 the joint defect is D_T^2 = I - T^*T,
+    where eval_onevar reads D_T.  The truncated and commutator defects are
+    functions of their own, computed where they are read.
     """
     try:
         first = defect_first_kind(t)

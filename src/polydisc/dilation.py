@@ -14,20 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflow, NotPure, PolydiscError
+from .errors import NotPure, PolydiscError
 from .hardy import HardySpace, build_space, gather_blocks, offset_ranks, row_mask, shift_apply
-from .linalg import DEFAULT_TOL, Subspace, Tolerances, containment_residual, range_basis, spec_norm, spec_norms
+from .linalg import Subspace, containment_residual, range_basis, refuse_over_budget, spec_norm, spec_norms
 from .tuples import CTuple, defect_first_kind, is_pure
 
 DEGREE_CAP = 64
-# Bytes build_dilation may allocate for its per-monomial arrays: the adjoint
-# ladder and the coefficients (d x d each) and pi (p x d), complex128.  Every
-# later step (defects, image basis) works on arrays of pi's size.
-DILATION_BYTE_BUDGET = 2**28
 
 
-def select_degree(t: CTuple, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Smallest N with rho_max^(N+1) * sqrt(n) * dim <= tol_structural.
+def select_degree(t: CTuple) -> int:
+    """Smallest N with rho_max^(N+1) * sqrt(n) * dim <= t.tol, the tuple's
+    structural tolerance.
 
     Capped at DEGREE_CAP.  Tuples with spectral radius below 1e-6 are
     treated as nilpotent and get N = dim, the largest possible nilpotency
@@ -38,7 +35,7 @@ def select_degree(t: CTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     rho = max(spectral_radii(t))
     if rho < 1e-6:
         return t.dim
-    target = tol.tol_structural / (math.sqrt(t.n) * t.dim)
+    target = t.tol / (math.sqrt(t.n) * t.dim)
     if target >= 1.0:
         return 1
     need = math.ceil(math.log(target) / math.log(rho)) - 1
@@ -116,7 +113,9 @@ def build_dilation(t: CTuple, degree: int | None = None) -> DilationData:
 
     N defaults to the select_degree rule.  Coefficient rows are expressed
     in the orthonormal basis of the first-kind defect space, so the Hardy
-    space has coefficient dimension rank(D_{T*}) rather than dim.
+    space has coefficient dimension rank(D_{T*}) rather than dim.  A degree
+    whose adjoint ladder and coefficients (d x d per monomial) and pi (p x d)
+    exceed BYTE_BUDGET is refused before they are built.
     """
     pure, radii = is_pure(t)
     if not pure:
@@ -124,17 +123,15 @@ def build_dilation(t: CTuple, degree: int | None = None) -> DilationData:
     root, basis = defect_first_kind(t)
     if basis.dim == 0:
         raise PolydiscError("first-kind defect vanishes; no dilation space")
-    n_deg = select_degree(t, t.tol) if degree is None else int(degree)
+    n_deg = select_degree(t) if degree is None else int(degree)
     if n_deg < 1:
         raise ValueError(f"truncation degree must be >= 1, got {n_deg}")
-    need = (n_deg + 1) ** t.n * (2 * t.dim + basis.dim) * t.dim * 16
-    if need > DILATION_BYTE_BUDGET:
-        raise DimensionOverflow(f"degree {n_deg} needs {need / 2**20:.0f} MiB of coefficient "
-                                f"arrays; budget {DILATION_BYTE_BUDGET / 2**20:.0f} MiB")
+    refuse_over_budget((n_deg + 1) ** t.n * (2 * t.dim + basis.dim) * t.dim * 16,
+                       f"dilation coefficient arrays at degree {n_deg}")
     space = build_space(t.n, n_deg, basis.dim)
 
     pi = (basis.basis.conj().T @ (root @ adjoint_powers(t, space))).reshape(space.dim, t.dim)
-    image = range_basis(pi, t.tol)
+    image = range_basis(pi)
     # certified bound on the dilation rows outside the truncation box
     tail = spec_norm(root) * coefficient_tail_sum(t, n_deg)
     return DilationData(t, space, n_deg, basis, pi, image, tail)
@@ -216,6 +213,6 @@ def image_invariance_defect(d: DilationData) -> float:
     for i in range(d.tuple.n):
         below = _below_top(d, i)[:, None]
         moved = shift_apply(d.space, i, d.image_basis.basis, adjoint=True) * below
-        target = range_basis(d.image_basis.basis * below, d.tuple.tol)
+        target = range_basis(d.image_basis.basis * below)
         worst = max(worst, containment_residual(moved, target))
     return worst

@@ -30,7 +30,6 @@ import numpy as np
 from .defects import full_truncated_defect, joint_commutator, joint_defect
 from .errors import (
     BadIndex,
-    DimensionOverflow,
     IncompatibleDims,
     NotUnitary,
     ParseError,
@@ -40,8 +39,8 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    TOL_RANK,
     Subspace,
-    Tolerances,
     as_complex,
     containment_residual,
     herm_eig,
@@ -49,16 +48,15 @@ from .linalg import (
     phase_fix,
     projector_residual,
     range_basis,
+    refuse_over_budget,
     spec_norm,
     stack_chunks,
     zero_cut,
 )
 from .tuples import CTuple, classical_defect_sq, complex_from_json, complex_to_json, int_from_json, validate
 
-DIMENSION_CAP = 10**6
-# Bytes of a model: its D x (monomials * input_dim) symbol matrix and the
-# D x D factor of the null-space SVD that every caller takes of its adjoint.
-HARDY_BYTE_BUDGET = 2**28
+INNER_TOL = 1e-8  # worst torus-grid ||Theta^H Theta - I|| that check_inner passes
+STRUCTURAL_THRESHOLD = 1e-8  # gate of every residual in a StructuralReport
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,12 @@ class HardySpace:
 
 
 def build_space(n: int, N: int, coeff_dim: int) -> HardySpace:
-    """Enumerate the truncated monomial basis in graded lexicographic order."""
+    """Enumerate the truncated monomial basis in graded lexicographic order.
+    A box whose index arrays (2n + 3 integers per monomial) exceed
+    BYTE_BUDGET is refused before they are built."""
     if n < 1 or N < 1 or coeff_dim < 1:
-        raise ValueError("need n >= 1, N >= 1, coeff_dim >= 1")
-    dim = (N + 1) ** n * coeff_dim
-    if dim > DIMENSION_CAP:
-        raise DimensionOverflow(f"space dimension {dim} exceeds cap {DIMENSION_CAP}")
+        raise BadIndex(f"need n >= 1, N >= 1, coeff_dim >= 1, got {n}, {N}, {coeff_dim}")
+    refuse_over_budget(8 * (N + 1) ** n * (2 * n + 3), f"Hardy space index arrays of {N + 1}^{n} monomials")
     box = np.indices((N + 1,) * n).reshape(n, -1).T  # flat-index order, i.e. lexicographic
     order = np.argsort(box.sum(axis=1), kind="stable")
     exps, rank_of = box[order], np.argsort(order)
@@ -419,16 +417,15 @@ def symbol_matrix(space: HardySpace, sym: InnerSymbol) -> tuple[np.ndarray, tupl
     The domain space shares n and N with ``space`` but has coeff_dim =
     input_dim; ``space`` itself must have coeff_dim = output_dim.
     Returns (matrix, reach vector, certified coefficient tail bound).
-    Refuses, before anything is allocated, a model over HARDY_BYTE_BUDGET.
+    A model whose symbol matrix and the D x D null-space factor that every
+    caller takes of its adjoint exceed BYTE_BUDGET is refused before either.
     """
     if space.coeff_dim != sym.output_dim:
         raise IncompatibleDims(
             f"space coeff_dim {space.coeff_dim} != symbol output_dim {sym.output_dim}"
         )
-    need = 16 * space.dim * (space.mono_count * sym.input_dim + space.dim)
-    if need > HARDY_BYTE_BUDGET:
-        raise DimensionOverflow(f"space dimension {space.dim} needs {need / 2**20:.0f} MiB for the symbol "
-                                f"matrix and its null space; budget {HARDY_BYTE_BUDGET / 2**20:.0f} MiB")
+    refuse_over_budget(16 * space.dim * (space.mono_count * sym.input_dim + space.dim),
+                       f"symbol matrix and null space at space dimension {space.dim}")
     coeffs, _, tail = symbol_taylor(sym, space.n, space.N)
     out = np.zeros((space.mono_count, sym.output_dim, space.mono_count, sym.input_dim), dtype=np.complex128)
     for beta, block in coeffs.items():
@@ -444,13 +441,10 @@ def torus_grid(n: int, per_axis: int) -> np.ndarray:
     torus, as a (per_axis^n, n) stack in itertools.product order.
 
     Refuses, before anything is allocated, a grid whose integer indices and
-    points (8 + 16 bytes per coordinate) exceed HARDY_BYTE_BUDGET."""
+    points (8 + 16 bytes per coordinate) exceed BYTE_BUDGET."""
     if per_axis < 1:
         raise BadIndex(f"per_axis must be >= 1, got {per_axis}")
-    need = 24 * n * int(per_axis) ** n
-    if need > HARDY_BYTE_BUDGET:
-        raise DimensionOverflow(f"torus grid of {per_axis}^{n} points needs {need >> 20} MiB; "
-                                f"budget {HARDY_BYTE_BUDGET >> 20} MiB")
+    refuse_over_budget(24 * n * int(per_axis) ** n, f"torus grid of {per_axis}^{n} points")
     angles = np.exp(2j * np.pi * np.arange(per_axis) / per_axis)
     return angles[np.indices((per_axis,) * n).reshape(n, -1).T]
 
@@ -482,11 +476,11 @@ def inner_residual_symbol(sym: InnerSymbol, points) -> tuple[float, tuple]:
     return float(res[worst]), tuple(points[worst])
 
 
-def check_inner(sym: InnerSymbol, grid_per_axis: int = 32, tol: float = 1e-8) -> float:
+def check_inner(sym: InnerSymbol, grid_per_axis: int = 32) -> float:
     worst, pt = inner_residual_symbol(sym, torus_grid(sym.n, grid_per_axis))
-    if not worst <= tol:
+    if not worst <= INNER_TOL:
         raise SymbolNotInner(
-            f"torus-grid inner residual {worst:.3e} exceeds {tol:.1e}", pt, worst
+            f"torus-grid inner residual {worst:.3e} exceeds {INNER_TOL:.1e}", pt, worst
         )
     return worst
 
@@ -560,7 +554,6 @@ class QuotientModel:
 def quotient_model(
     space: HardySpace,
     sym: InnerSymbol,
-    tol: Tolerances = DEFAULT_TOL,
     grid_per_axis: int = 32,
     window_margin: int = 1,
 ) -> QuotientModel:
@@ -573,8 +566,8 @@ def quotient_model(
     """
     check_inner(sym, grid_per_axis)
     mat, reach, tail = symbol_matrix(space, sym)
-    sub = range_basis(mat, tol)
-    quot = null_space(mat.conj().T, tol)
+    sub = range_basis(mat)
+    quot = null_space(mat.conj().T)
     ops = tuple(
         shift_apply(space, i, quot.basis, adjoint=True).conj().T @ quot.basis for i in range(space.n)
     )
@@ -585,7 +578,7 @@ def quotient_model(
     return QuotientModel(space, sym, mat, sub, quot, ops, tuple(caps), reach, tail)
 
 
-def model_tuple(model: QuotientModel, tol: Tolerances = DEFAULT_TOL) -> CTuple:
+def model_tuple(model: QuotientModel, tol: float = DEFAULT_TOL) -> CTuple:
     """The model operators as a validated commuting tuple.
 
     Exact for graded symbols (the submodule is a monomial ideal, so the
@@ -613,7 +606,7 @@ def quotient_mask(model: QuotientModel, shrink: int = 0) -> np.ndarray:
     return mask
 
 
-def wandering_subspaces(model: QuotientModel, tol: Tolerances = DEFAULT_TOL) -> dict[tuple, Subspace]:
+def wandering_subspaces(model: QuotientModel, tol: float = DEFAULT_TOL) -> dict[tuple, Subspace]:
     """W_P, the part of the submodule orthogonal to z_i S for all i in P, for
     every nonempty index set P (keyed by its ascending tuple).
 
@@ -625,7 +618,7 @@ def wandering_subspaces(model: QuotientModel, tol: Tolerances = DEFAULT_TOL) -> 
     s, n = model.submodule_basis.basis, model.space.n
     terms = []
     for i in range(n):
-        c = range_basis(shift_apply(model.space, i, s), tol).basis.conj().T @ s
+        c = range_basis(shift_apply(model.space, i, s)).basis.conj().T @ s
         terms.append(c.conj().T @ c)
     out = {}
     for size in range(1, n + 1):
@@ -634,15 +627,15 @@ def wandering_subspaces(model: QuotientModel, tol: Tolerances = DEFAULT_TOL) -> 
             for i in p:
                 gram += terms[i]
             vals, vecs = herm_eig(gram, tol)
-            keep = vals < zero_cut(vals.max(initial=0.0), tol.tol_rank)
+            keep = vals < zero_cut(vals.max(initial=0.0), TOL_RANK)
             out[p] = Subspace(model.space.dim, phase_fix(s @ vecs[:, keep]))
     return out
 
 
-def masked_span(vectors, keep: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def masked_span(vectors, keep: np.ndarray) -> Subspace:
     """Range basis of the columns with the rows outside ``keep`` zeroed (the
     windowed span of the vectors); ``keep`` is a boolean row mask."""
-    return range_basis(np.atleast_2d(as_complex(vectors)) * keep[:, None], tol)
+    return range_basis(np.atleast_2d(as_complex(vectors)) * keep[:, None])
 
 
 @dataclass(frozen=True)
@@ -664,12 +657,9 @@ class StructuralReport:
         return name, self.residuals.get(name, 0.0)
 
 
-def structural_checks(
-    model: QuotientModel,
-    tol: Tolerances = DEFAULT_TOL,
-    threshold: float = 1e-8,
-) -> StructuralReport:
-    """Run the full windowed identity battery on one graded model.
+def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> StructuralReport:
+    """Run the full windowed identity battery on one graded model, each
+    residual gated at STRUCTURAL_THRESHOLD.
 
     Every residual is evaluated through the model's exact window, shrunk
     further by the degree reach of the operators inside each identity.
@@ -677,13 +667,13 @@ def structural_checks(
     constants to be ||Theta(0)||, since P_S e = Theta Theta(0)^* e for a
     constant e.  By the maximum modulus principle a constant lies in
     Theta H^2 iff Theta(0) attains norm 1; when ||Theta(0)|| < 1 up to
-    tol_structural, the wandering space must also equal what the
-    quotient reaches.
+    the structural tolerance tol, the wandering space must also equal what
+    the quotient reaches.
     """
     space = model.space
     n = space.n
     if model.quotient_dim == 0:
-        return StructuralReport({}, {"quotient": 0}, threshold)
+        return StructuralReport({}, {"quotient": 0}, STRUCTURAL_THRESHOLD)
     t = model_tuple(model, tol)
     q = model.quotient_basis.basis
     s = model.submodule_basis.basis
@@ -737,7 +727,7 @@ def structural_checks(
 
     # Beurling equivalence battery on the defect operators of the model.
     defect_sqs = [mask1 @ classical_defect_sq(t[i]) @ mask1 for i in range(n)]
-    defect_spaces = [range_basis(d, tol) for d in defect_sqs]
+    defect_spaces = [range_basis(d) for d in defect_sqs]
     residuals["defects_annihilate"] = max(
         (
             spec_norm(mask2 @ defect_sqs[i] @ defect_sqs[j] @ mask2)
@@ -756,7 +746,7 @@ def structural_checks(
     residuals["defect_invariance"] = invar
 
     # delta_ij columns stay inside the truncated defect space D_{i,C}.
-    truncated_spaces = [range_basis(mask1 @ full_truncated_defect(t, i) @ mask1, tol) for i in range(n)]
+    truncated_spaces = [range_basis(mask1 @ full_truncated_defect(t, i) @ mask1) for i in range(n)]
     rng_incl = 0.0
     for i, j in itertools.permutations(range(n), 2):
         delta = mask1 @ joint_commutator(t, i, j) @ mask1
@@ -772,7 +762,7 @@ def structural_checks(
     fs_formula = 0.0
     for j in range(n):
         pulled = mq[j].conj().T @ theta_cols
-        lhs = range_basis(mask1 @ (mask1 @ pulled), tol)  # windowed span of windowed columns
+        lhs = range_basis(mask1 @ (mask1 @ pulled))  # windowed span of windowed columns
         fs_formula = max(fs_formula, projector_residual(lhs, truncated_spaces[j]))
     residuals["truncated_defect_space_formula"] = fs_formula
 
@@ -783,13 +773,13 @@ def structural_checks(
     # erase generators whose degree equals the symbol reach.  Each W_P is
     # windowed once per row mask; the K_1 spans are read only when n >= 2.
     wander = wandering_subspaces(model, tol)
-    span0 = {p: masked_span(wp.basis, keep0, tol) for p, wp in wander.items()}
-    span1 = {p: masked_span(wp.basis, keep1, tol) for p, wp in wander.items() if n >= 2}
+    span0 = {p: masked_span(wp.basis, keep0) for p, wp in wander.items()}
+    span1 = {p: masked_span(wp.basis, keep1) for p, wp in wander.items() if n >= 2}
     w_masked = span0[tuple(range(n))]
     w = w_masked.basis
     dims["wandering"] = w_masked.dim
 
-    theta_span = masked_span(theta_cols, keep0, tol)
+    theta_span = masked_span(theta_cols, keep0)
     residuals["wandering_equals_theta"] = projector_residual(w_masked, theta_span)
 
     wl_invar = 0.0
@@ -803,8 +793,8 @@ def structural_checks(
                 shifted = shift_apply(space, j, wp.basis) * keep1[:, None]
                 wl_invar = max(wl_invar, containment_residual(shifted, span0[pset]))
                 inside = span1[pset].basis
-                z_wp = masked_span(shift_apply(space, j, wp.basis), keep1, tol).basis
-                split = masked_span(inside - z_wp @ (z_wp.conj().T @ inside), keep1, tol)
+                z_wp = masked_span(shift_apply(space, j, wp.basis), keep1).basis
+                split = masked_span(inside - z_wp @ (z_wp.conj().T @ inside), keep1)
                 wl_split = max(wl_split, projector_residual(split, span1[tuple(sorted(pset + (j,)))]))
     residuals["wandering_shift_invariance"] = wl_invar
     residuals["wandering_splitting"] = wl_split
@@ -824,12 +814,12 @@ def structural_checks(
     # Effective wandering subspace: the part reached from the quotient.
     x_cols = [(w.conj().T * keep0) @ mq[j] for j in range(n)]  # W^H K_0 M_j Q
     reached = np.hstack([w @ x for x in x_cols])
-    w_eff = range_basis(reached, tol)
+    w_eff = range_basis(reached)
     dims["wandering_effective"] = w_eff.dim
 
     # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q.
     jd = joint_defect(t, mask=mask1)
-    dims["joint_defect"] = (jd.space if jd.space is not None else range_basis(jd.matrix, tol)).dim
+    dims["joint_defect"] = (jd.space if jd.space is not None else range_basis(jd.matrix)).dim
     qd = model.quotient_dim
     gram = np.zeros((n * qd, n * qd), dtype=np.complex128)
     for i in range(n):
@@ -845,12 +835,12 @@ def structural_checks(
     overlap = spec_norm(s[: space.coeff_dim])  # ||S^H e_r||: z^0 e_r sit in rows 0..coeff_dim-1
     theta0 = spec_norm(theta_cols[: space.coeff_dim])  # ||Theta(0)||: the z^0 block
     residuals["minimality_overlap_error"] = abs(overlap - theta0)
-    if theta0 < 1.0 - tol.tol_structural:
+    if theta0 < 1.0 - tol:
         # No constant lies in S, so the wandering space is exactly what
         # the quotient reaches: W_eff = W as subspaces.
         residuals["wandering_effective_equals_wandering"] = projector_residual(w_eff, w_masked)
 
-    return StructuralReport(residuals, dims, threshold)
+    return StructuralReport(residuals, dims, STRUCTURAL_THRESHOLD)
 
 
 def ahern_clark_growth(sym: InnerSymbol, n_range) -> list[int]:

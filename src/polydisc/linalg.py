@@ -15,37 +15,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, NotSquare, ShapeMismatch
+from .errors import DimensionOverflow, NotHermitian, NotPSD, NotSquare, ShapeMismatch
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Shared tolerance policy.
-
-    tol_structural: identity / symmetry residual scale.
-    tol_rank: zero_cut tolerance of singular values and eigenvalues.
-    tol_psd_clamp: zero_cut window in which small negative eigenvalues of a
-        nominally PSD matrix are clamped to zero; anything lower is an error.
-    tol_pure: margin for the spectral-radius purity test.
-    """
-
-    tol_structural: float = 1e-10
-    tol_rank: float = 1e-9
-    tol_psd_clamp: float = 1e-10
-    tol_pure: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("tol_structural", "tol_rank", "tol_psd_clamp", "tol_pure"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-DEFAULT_TOL = Tolerances()
+# The structural tolerance, the one tolerance a caller sets (CTuple.tol,
+# --tol): the scale of every symmetry, identity and gate residual.
+DEFAULT_TOL = 1e-10
+TOL_RANK = 1e-9  # zero_cut of every rank cut and null space
+TOL_PSD_CLAMP = 1e-10  # zero_cut window of a PSD matrix's eigenvalues clamped to 0
+TOL_PURE = 1e-8  # pure iff every spectral radius is at most 1 - TOL_PURE
 
 # Largest stacked array, in bytes, that an evaluation over a stack of points
 # builds at once: the characteristic-function factors (charfn) and the symbol
 # values and Gram residuals of the torus-grid inner check (hardy).
 STACK_BYTE_BUDGET = 2**20
+# Largest set of arrays, in bytes, that one step may allocate (a Hardy space,
+# a symbol matrix, a torus grid, Taylor blocks, a dilation), refused before
+# anything is allocated by refuse_over_budget.
+BYTE_BUDGET = 2**28
+
+
+def refuse_over_budget(need: int, what: str) -> None:
+    """Raise DimensionOverflow when ``need`` bytes exceed BYTE_BUDGET; ``what``
+    names the arrays, as in "torus grid of 200^3 points"."""
+    if need > BYTE_BUDGET:
+        raise DimensionOverflow(f"{what} needs {need / 2**20:.0f} MiB; budget {BYTE_BUDGET >> 20} MiB")
 
 
 def zero_cut(scale: float, tol: float) -> float:
@@ -113,12 +106,12 @@ def _require_square(a: np.ndarray) -> None:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
 
 
-def herm_eig(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (eigenvalues, eigenvectors) with A = V diag(lam) V^H.  Raises
     NotSquare / NotHermitian if A fails the symmetry check at scale
-    tol_structural * max(||A||, 1).  Both norms are read only when A is not
+    tol * max(||A||, 1).  Both norms are read only when A is not
     bitwise equal to its Hermitian part; otherwise the residual is 0.
     """
     a = as_complex(a)
@@ -127,20 +120,20 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     if not np.array_equal(a, herm):
         scale = max(spec_norm(a), 1.0)
         anti = spec_norm(a - herm)
-        if anti > tol.tol_structural * scale:
+        if anti > tol * scale:
             raise NotHermitian(f"anti-Hermitian residual {anti:.3e} at scale {scale:.3e}")
     vals, vecs = np.linalg.eigh(herm)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def psd_clamp(vals: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    """The NotPSD window zero_cut(||A||, tol_psd_clamp) of a Hermitian A,
+def psd_clamp(vals: np.ndarray) -> float:
+    """The NotPSD window zero_cut(||A||, TOL_PSD_CLAMP) of a Hermitian A,
     read off its descending spectrum: eigenvalues in [-window, 0) are
     roundoff of a PSD matrix, anything lower is not."""
-    return zero_cut(max(float(vals[0]), -float(vals[-1])), tol.tol_psd_clamp)
+    return zero_cut(max(float(vals[0]), -float(vals[-1])), TOL_PSD_CLAMP)
 
 
-def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root with eigenvalue clamping.
 
     Eigenvalues in the psd_clamp window are clamped to zero; anything below
@@ -149,7 +142,7 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     vals, vecs = herm_eig(a, tol)
     if vals.size == 0:
         return np.zeros_like(as_complex(a))
-    clamp = psd_clamp(vals, tol)
+    clamp = psd_clamp(vals)
     min_eig = float(vals[-1])
     if min_eig < -clamp:
         raise NotPSD(f"min eigenvalue {min_eig:.3e} below clamp {-clamp:.3e}", min_eig)
@@ -176,38 +169,38 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def range_basis(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def range_basis(a) -> Subspace:
     """Deterministic orthonormal basis of the numerical column space.
 
     Columns are left singular vectors ordered by descending singular value
     (for Hermitian PSD input this is descending eigenvalue order), keeping
-    sigma > zero_cut(sigma_max, tol_rank), with phases fixed by phase_fix.
+    sigma > zero_cut(sigma_max, TOL_RANK), with phases fixed by phase_fix.
     """
     a = np.atleast_2d(as_complex(a))
     m = a.shape[0]
     if a.size == 0 or not np.any(a):
         return Subspace(m, np.zeros((m, 0), dtype=np.complex128))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > zero_cut(s[0], tol.tol_rank)))
+    rank = int(np.sum(s > zero_cut(s[0], TOL_RANK)))
     return Subspace(m, phase_fix(u[:, :rank]))
 
 
-def null_space(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def null_space(a) -> Subspace:
     """Orthonormal basis of the numerical null space of A: the right singular
-    vectors whose singular value is zero by zero_cut(sigma_max, tol_rank)."""
+    vectors whose singular value is zero by zero_cut(sigma_max, TOL_RANK)."""
     a = np.atleast_2d(as_complex(a))
     n = a.shape[1]
     if a.size == 0 or not np.any(a):
         return Subspace(n, np.eye(n, dtype=np.complex128))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > zero_cut(s[0], tol.tol_rank)))
+    rank = int(np.sum(s > zero_cut(s[0], TOL_RANK)))
     return Subspace(n, phase_fix(vh[rank:].conj().T))
 
 
-def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> LoewnerVerdict:
+def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> LoewnerVerdict:
     """Test A <= B in the Loewner order.
 
-    Holds iff the minimum eigenvalue of B - A is >= -tol_structural *
+    Holds iff the minimum eigenvalue of B - A is >= -tol *
     max(||A||, ||B||, 1); the witness eigenvalue is returned either way.
     """
     a = as_complex(a)
@@ -217,7 +210,7 @@ def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> LoewnerVerdict:
     vals, _ = herm_eig(b - a, tol)
     witness = float(vals[-1]) if vals.size else 0.0
     scale = max(spec_norm(a), spec_norm(b), 1.0)
-    return LoewnerVerdict(witness >= -tol.tol_structural * scale, witness)
+    return LoewnerVerdict(witness >= -tol * scale, witness)
 
 
 def projector_residual(u: Subspace, v: Subspace) -> float:

@@ -60,28 +60,30 @@ def random_nilpotent_pair(rng: np.random.Generator, dim: int, norm_max: float = 
     return [m * (norm_max / top) for m in mats]
 
 
+# Worst Gram condition number of a node set: eigenvalue noise scales with it,
+# and checks pinned at 1e-10 need it a few orders below the 1e12 gate.
+NODE_MAX_COND = 1e6
+NODE_MAX_TRIES = 1000  # node sets, and candidates per set, before giving up
+
+
 def random_nodes(
     rng: np.random.Generator,
     m: int,
     n: int,
     modulus_max: float = 0.35,
     min_sep: float = 0.1,
-    max_cond: float | None = 1e6,
-    max_tries: int = 1000,
 ) -> np.ndarray:
     """m pairwise separated nodes in the n-polydisc, coordinates in a disc.
 
-    Rejection sampling keeps every pair at Euclidean distance >= min_sep.
-    When max_cond is set, whole node sets whose Szego kernel Gram matrix
-    is worse conditioned than that are redrawn: downstream eigenvalue
-    noise scales with this condition number, and checks pinned at 1e-10
-    need it kept a few orders below the hard 1e12 factorization gate.
+    Rejection sampling keeps every pair at Euclidean distance >= min_sep,
+    and redraws a whole node set whose Szego kernel Gram matrix has
+    condition number over NODE_MAX_COND.
     """
     from .tuples import szego_kernel_gram
 
-    for _ in range(max_tries):
+    for _ in range(NODE_MAX_TRIES):
         nodes: list[np.ndarray] = []
-        tries_left = max_tries
+        tries_left = NODE_MAX_TRIES
         while len(nodes) < m and tries_left > 0:
             tries_left -= 1
             radius = modulus_max * np.sqrt(rng.uniform(0, 1, n))
@@ -92,9 +94,9 @@ def random_nodes(
         if len(nodes) < m:
             continue
         out = np.array(nodes)
-        if max_cond is None or np.linalg.cond(szego_kernel_gram(out)) <= max_cond:
+        if np.linalg.cond(szego_kernel_gram(out)) <= NODE_MAX_COND:
             return out
-    raise RuntimeError(f"could not place {m} nodes with separation {min_sep} in {max_tries} tries")
+    raise RuntimeError(f"could not place {m} nodes with separation {min_sep} in {NODE_MAX_TRIES} tries")
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

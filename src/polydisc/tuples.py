@@ -28,8 +28,8 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    TOL_PURE,
     Subspace,
-    Tolerances,
     as_complex,
     herm_eig,
     hermitian_part,
@@ -43,6 +43,7 @@ from .linalg import (
 class CTuple:
     """A validated tuple of n commuting contractions on C^dim.
 
+    ``tol`` is the structural tolerance of every verdict on the tuple.
     ``norms`` holds the spectral norm of each matrix, taken once when the
     tuple is built: validate checks contractivity with them, and the
     resolvent gate and classify read them back.
@@ -51,7 +52,7 @@ class CTuple:
     n: int
     dim: int
     matrices: tuple[np.ndarray, ...]
-    tol: Tolerances = DEFAULT_TOL
+    tol: float = DEFAULT_TOL
     norms: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -96,12 +97,16 @@ def commutation_residual(matrices) -> tuple[float, tuple[int, int] | None]:
     return worst, pair
 
 
-def validate(matrices, tol: Tolerances = DEFAULT_TOL) -> CTuple:
-    """Check shapes, commutativity, and contractivity; freeze the tuple.
+def validate(matrices, tol: float = DEFAULT_TOL) -> CTuple:
+    """Check shapes, commutativity, and contractivity; freeze the tuple with
+    its structural tolerance ``tol``.
 
-    Raises ShapeMismatch for ragged input, NotCommuting with the worst
-    pair, or NotContraction with the first offending index.
+    Raises ValueError for a negative or NaN tol, ShapeMismatch for ragged
+    input, NotCommuting with the worst pair, or NotContraction with the
+    first offending index.
     """
+    if not tol >= 0:
+        raise ValueError(f"the structural tolerance must be >= 0, got {tol!r}")
     mats = [np.atleast_2d(as_complex(m)) for m in matrices]
     if not mats:
         raise ShapeMismatch("a tuple needs at least one matrix")
@@ -116,10 +121,10 @@ def validate(matrices, tol: Tolerances = DEFAULT_TOL) -> CTuple:
         frozen.append(c)
     t = CTuple(len(frozen), dim, tuple(frozen), tol)
     worst, pair = commutation_residual(mats)
-    if pair is not None and worst > tol.tol_structural * max(max(t.norms), 1.0):
+    if pair is not None and worst > tol * max(max(t.norms), 1.0):
         raise NotCommuting(pair[0], pair[1], worst)
     for i, norm in enumerate(t.norms):
-        if norm > 1.0 + tol.tol_structural:
+        if norm > 1.0 + tol:
             raise NotContraction(i, norm)
     return t
 
@@ -129,9 +134,9 @@ def spectral_radii(t: CTuple) -> tuple[float, ...]:
 
 
 def is_pure(t: CTuple) -> tuple[bool, tuple[float, ...]]:
-    """Pure (class C_{.0}) iff every spectral radius is <= 1 - tol_pure."""
+    """Pure (class C_{.0}) iff every spectral radius is <= 1 - TOL_PURE."""
     radii = spectral_radii(t)
-    return all(r <= 1.0 - t.tol.tol_pure for r in radii), radii
+    return all(r <= 1.0 - TOL_PURE for r in radii), radii
 
 
 def _power(mats, k):
@@ -162,7 +167,7 @@ def _szego_verdict(t: CTuple, pure: bool, s: np.ndarray) -> tuple[bool, float]:
     """is_szego from the purity flag and the Szego inverse s, computed once by the caller."""
     min_eig = float(herm_eig(s, t.tol)[0][-1])
     scale = max(spec_norm(s), 1.0)
-    return pure and min_eig >= -t.tol.tol_structural * scale, min_eig
+    return pure and min_eig >= -t.tol * scale, min_eig
 
 
 def defect_first_kind(t: CTuple) -> tuple[np.ndarray, Subspace]:
@@ -177,24 +182,13 @@ def defect_first_kind(t: CTuple) -> tuple[np.ndarray, Subspace]:
         root = psd_sqrt(s, t.tol)
     except NotPSD as exc:
         raise NotSzego(str(exc), exc.min_eig) from exc
-    return root, range_basis(s, t.tol)
+    return root, range_basis(s)
 
 
 def classical_defect_sq(x) -> np.ndarray:
     """I - X^H X (pass X^H to get the adjoint version I - X X^H)."""
     x = np.atleast_2d(as_complex(x))
     return hermitian_part(np.eye(x.shape[0]) - x.conj().T @ x)
-
-
-def classical_defect(x, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, Subspace]:
-    """Classical defect root (I - X^H X)^{1/2} and its range."""
-    x = np.atleast_2d(as_complex(x))
-    norm = spec_norm(x)
-    if norm > 1.0 + tol.tol_structural:
-        raise NotContraction(0, norm)
-    sq = classical_defect_sq(x)
-    root = psd_sqrt(sq, tol)
-    return root, range_basis(sq, tol)
 
 
 def is_beurling(t: CTuple, mask=None) -> BeurlingVerdict:
@@ -220,7 +214,7 @@ def _beurling_verdict(t: CTuple, szego_ok: bool, mask) -> BeurlingVerdict:
         res = spec_norm(prod)
         if res > worst:
             worst, pair = res, (i, j)
-    holds = worst <= t.tol.tol_structural
+    holds = worst <= t.tol
     return BeurlingVerdict(holds and szego_ok, pair, worst, szego_ok)
 
 
@@ -231,9 +225,9 @@ def classify(t: CTuple, mask=None) -> Classification:
     szego, min_eig = _szego_verdict(t, pure, szego_inverse(t))
     verdict = _beurling_verdict(t, szego, mask)
     return Classification(
-        is_commuting=res <= t.tol.tol_structural * max(max(t.norms), 1.0),
+        is_commuting=res <= t.tol * max(max(t.norms), 1.0),
         commuting_residual=float(res),
-        is_contractive=all(nm <= 1.0 + t.tol.tol_structural for nm in t.norms),
+        is_contractive=all(nm <= 1.0 + t.tol for nm in t.norms),
         norms=t.norms,
         is_pure=pure,
         spectral_radii=radii,
@@ -255,7 +249,7 @@ def szego_kernel_gram(points: np.ndarray) -> np.ndarray:
     return g
 
 
-def szego_tuple_from_nodes(points, tol: Tolerances = DEFAULT_TOL) -> CTuple:
+def szego_tuple_from_nodes(points, tol: float = DEFAULT_TOL) -> CTuple:
     """Compression tuple on the span of Szego kernel functions at nodes.
 
     ``points`` is an (m, n) array of polydisc nodes.  The adjoint of the
@@ -326,7 +320,7 @@ def tuple_to_json(t: CTuple) -> dict:
     return {"n": t.n, "dim": t.dim, "matrices": [complex_to_json(m) for m in t.matrices]}
 
 
-def tuple_from_json(obj, tol: Tolerances = DEFAULT_TOL) -> tuple[CTuple, np.ndarray | None]:
+def tuple_from_json(obj, tol: float = DEFAULT_TOL) -> tuple[CTuple, np.ndarray | None]:
     """Parse the tuple file format; returns (tuple, optional window projector).
 
     Schema: {"n": int, "dim": int, "matrices": [...]} with each matrix a

@@ -35,7 +35,7 @@ from polydisc.hardy import (
     quotient_mask,
     quotient_model,
 )
-from polydisc.linalg import DEFAULT_TOL, spec_norm
+from polydisc.linalg import spec_norm
 from polydisc.sampling import (
     random_commuting_tuple,
     random_nodes,
@@ -267,19 +267,18 @@ def test_dilation_form_scalar_and_zero():
 
 
 def test_dilation_form_windowed_models():
-    tol = DEFAULT_TOL
     # one variable: z^2 model is the 2x2 Jordan block
     space1 = build_space(1, 6, 1)
-    model1 = quotient_model(space1, monomial_symbol(1, (2,)), tol)
-    mt1 = model_tuple(model1, tol)
+    model1 = quotient_model(space1, monomial_symbol(1, (2,)))
+    mt1 = model_tuple(model1)
     f1 = build_charfn(mt1, build_defects(mt1, quotient_mask(model1)))
     d1 = build_dilation(mt1)
     assert dilation_form_residual(mt1, d1, f1) <= 1e-12
 
     # two variables: the z1 z2 model, nilpotent so the identity is exact
     space2 = build_space(2, 4, 1)
-    model2 = quotient_model(space2, monomial_symbol(2, (1, 1)), tol)
-    mt2 = model_tuple(model2, tol)
+    model2 = quotient_model(space2, monomial_symbol(2, (1, 1)))
+    mt2 = model_tuple(model2)
     f2 = build_charfn(mt2, build_defects(mt2, quotient_mask(model2)))
     d2 = build_dilation(mt2)
     assert dilation_form_residual(mt2, d2, f2) <= 1e-12
@@ -329,9 +328,9 @@ def test_charfn_symbol_round_trip_one_zero():
     f = build_charfn(scalar(a))
     sym = charfn_symbol(f)
     space = build_space(1, 20, 1)
-    model = quotient_model(space, sym, DEFAULT_TOL)
+    model = quotient_model(space, sym)
     assert model.quotient_dim == 1
-    mt = model_tuple(model, DEFAULT_TOL)
+    mt = model_tuple(model)
     assert abs(mt[0][0, 0] - a) < 1e-6
 
 

@@ -138,7 +138,7 @@ def test_report_determinism(scalar_file, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
-        assert main(["classify", scalar_file, "--seed", "7", "--out", str(out)]) == 0
+        assert main(["charfn", scalar_file, "--seed", "7", "--out", str(out)]) == 0
         rep = read(out)
         rep["provenance"].pop("timestamp")
         outs.append(json.dumps(rep, indent=2, sort_keys=True))
@@ -153,15 +153,66 @@ def test_csv_format(scalar_file, tmp_path):
     assert any(row.startswith("classification.is_beurling") for row in lines)
 
 
-def test_bad_grid_rejected(scalar_file):
+def test_bad_grid_rejected(scalar_file, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["classify", scalar_file, "--grid", "3"])
+        main(["charfn", scalar_file, "--grid", "3"])
     assert exc.value.code == 2
+    assert "--grid must be >= 4" in capsys.readouterr().err
+
+
+# The flags each subcommand accepts and never read; each is now a usage error.
+IGNORED_FLAGS = [
+    ("classify", "--degree", "3"), ("classify", "--grid", "8"), ("classify", "--seed", "5"),
+    ("charfn", "--degree", "3"),
+    ("hardy", "--seed", "5"),
+    ("dilate", "--grid", "8"), ("dilate", "--seed", "5"), ("dilate", "--window", "3"),
+    ("coincide", "--degree", "3"), ("coincide", "--grid", "8"),
+    ("suite", "--tol", "1e-3"), ("suite", "--degree", "3"), ("suite", "--grid", "8"), ("suite", "--window", "3"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS, ids=[f"{c}{f}" for c, f, _ in IGNORED_FLAGS])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, flag, value):
+    path = write_json(tmp_path / "t.json", tuple_to_json(validate([np.array([[0.5]])])))
+    operands = {
+        "classify": [path],
+        "charfn": [path],
+        "hardy": [write_json(tmp_path / "s.json", symbol_to_json(monomial_symbol(2, (1, 0))))],
+        "dilate": [path],
+        "coincide": [path, write_json(tmp_path / "u.json", {"matrix": mat_json(np.eye(1))})],
+        "suite": [],
+    }[command]
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:  # an argparse usage error, before any work
+        main([command, *operands, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_provenance_lists_only_the_flags_of_the_subcommand(scalar_file, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["classify", scalar_file, "--tol", "1e-9", "--out", str(out)]) == 0
+    config = read(out)["provenance"]["config"]
+    assert config == {"tol_structural": 1e-9, "window_margin": 0, "format": "json"}
+
+
+def test_tol_reaches_the_structural_gates(tmp_path, capsys):
+    """A pair whose commutator has norm 1e-7: not commuting at the default
+    structural tolerance, commuting under --tol 1e-6."""
+    pair = [np.diag([0.5, 0.0]), np.array([[0.0, 2e-7], [0.0, 0.0]])]
+    path = write_json(tmp_path / "t.json", {"n": 2, "dim": 2, "matrices": [mat_json(m) for m in pair]})
+    assert main(["classify", path]) == 2
+    assert "do not commute" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert main(["classify", path, "--tol", "1e-6", "--out", str(out)]) == 0
+    c = read(out)["classification"]
+    assert c["is_commuting"] and c["commuting_residual"] == pytest.approx(1e-7)
 
 
 @pytest.mark.parametrize("command", ["hardy", "charfn"])
 def test_oversized_grid_refused(tmp_path, command):
-    """A torus grid over HARDY_BYTE_BUDGET exits 2 before anything is allocated."""
+    """A torus grid over BYTE_BUDGET exits 2 before anything is allocated."""
     if command == "hardy":
         path = write_json(tmp_path / "s.json", {"kind": "monomial", "n": 3, "exponent": [1, 1, 1]})
         argv = ["hardy", path, "--grid", "10000000"]

@@ -172,7 +172,7 @@ def full_box_minimality(d):
                 cols[r * p : (r + 1) * p, b * dim : (b + 1) * dim] = blocks[a]
     window = np.repeat([max(k) <= d.degree - 1 for k in monos], p)
     cols[~window] = 0.0
-    span = range_basis(cols, d.tuple.tol)
+    span = range_basis(cols)
     targets = np.eye(space.dim, dtype=np.complex128)[:, window]
     resid = targets - span.basis @ span.basis.conj().T[:, window]
     return float(np.linalg.norm(resid, axis=0).max(initial=0.0))
@@ -214,7 +214,7 @@ def write_tuple(tmp_path, t):
 def test_oversized_dilation_refused_before_allocation(tmp_path):
     # one variable, 6 nodes, degree 999999: D = 10^6 passes the space cap, but
     # the ladder, coefficients and pi would take 10^6 * (2 * 6 + 1) * 6 * 16
-    # bytes, 1.2 GB, over DILATION_BYTE_BUDGET
+    # bytes, 1.2 GB, over BYTE_BUDGET
     t = szego_tuple_from_nodes(np.array([[0.1], [0.3], [-0.5], [0.2j], [-0.4j], [0.6 + 0.1j]]))
     assert (t.n, t.dim) == (1, 6)
     with pytest.raises(DimensionOverflow):

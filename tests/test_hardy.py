@@ -82,22 +82,24 @@ def test_build_space_dims_and_order():
 
 
 def test_build_space_overflow_and_bad_args():
-    # D = 1001^2 = 1,002,001 > DIMENSION_CAP, refused before the exponent box exists
+    # 4001^2 monomials: the index arrays need 8 * 4001^2 * 7 bytes, 855 MiB,
+    # over BYTE_BUDGET, refused before the exponent box exists
     tracemalloc.start()
     try:
         with pytest.raises(DimensionOverflow):
-            build_space(2, 1000, 1)
+            build_space(2, 4000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16
-    with pytest.raises(ValueError):
-        build_space(0, 2, 1)
+    for args in ((0, 2, 1), (2, 0, 1), (2, 2, 0)):
+        with pytest.raises(BadIndex):
+            build_space(*args)
 
 
 def test_torus_grid_refused_before_allocating():
     # 10^7 points per axis at n = 3 would need 10^21 points; 200^3 points
-    # (8 x 10^6) need 549 MiB of indices and points, over HARDY_BYTE_BUDGET
+    # (8 x 10^6) need 549 MiB of indices and points, over BYTE_BUDGET
     tracemalloc.start()
     try:
         for n, per_axis in ((3, 10**7), (3, 200), (2, 3000)):
@@ -111,7 +113,7 @@ def test_torus_grid_refused_before_allocating():
 
 
 def test_build_space_keeps_only_the_index_arrays():
-    # D = 10^6, the DIMENSION_CAP: the exps and rank_of arrays take 30.5 MiB;
+    # D = 10^6: the exps and rank_of arrays take 30.5 MiB;
     # a second copy of the exponents as Python tuples kept 99 MiB
     tracemalloc.start()
     try:
@@ -609,7 +611,7 @@ def test_structural_checks_minimality_follows_theta_at_zero(factors, overlap):
 
 
 def test_oversized_hardy_model_refused_before_allocation(tmp_path):
-    # n = 2 at degree 300: D = 90,601 is under DIMENSION_CAP, but the symbol
+    # n = 2 at degree 300: D = 90,601 has index arrays well inside BYTE_BUDGET, but the symbol
     # matrix alone would take D^2 complex entries, 131 GB
     sym = monomial_symbol(2, (1, 1))
     path = tmp_path / "symbol.json"
@@ -623,5 +625,5 @@ def test_oversized_hardy_model_refused_before_allocation(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**26  # the exponent tables of the space, nothing of size D^2
-    model = quotient_model(build_space(2, 10, 1), sym)  # well inside HARDY_BYTE_BUDGET
+    model = quotient_model(build_space(2, 10, 1), sym)  # well inside BYTE_BUDGET
     assert model.space.dim == 121

@@ -5,8 +5,10 @@ from polydisc import linalg
 from polydisc.errors import NotHermitian, NotPSD, NotSquare, ShapeMismatch
 from polydisc.linalg import (
     DEFAULT_TOL,
+    TOL_PSD_CLAMP,
+    TOL_PURE,
+    TOL_RANK,
     Subspace,
-    Tolerances,
     containment_residual,
     herm_eig,
     loewner_leq,
@@ -32,18 +34,11 @@ def random_psd(rng, n, rank=None):
 
 
 def test_tolerances_defaults():
-    tol = Tolerances()
-    assert tol.tol_structural == 1e-10
-    assert tol.tol_rank == 1e-9
-    assert tol.tol_psd_clamp == 1e-10
-    assert tol.tol_pure == 1e-8
-
-
-def test_tolerances_rejects_negative():
-    with pytest.raises(ValueError):
-        Tolerances(tol_structural=-1e-3)
-    with pytest.raises(ValueError):  # NaN would make every gate comparison false
-        Tolerances(tol_rank=float("nan"))
+    # the one settable tolerance and the three cuts that no caller sets
+    assert DEFAULT_TOL == 1e-10
+    assert TOL_RANK == 1e-9
+    assert TOL_PSD_CLAMP == 1e-10
+    assert TOL_PURE == 1e-8
 
 
 def test_spec_norm_matches_svd():
@@ -114,7 +109,7 @@ def test_psd_sqrt_rejects_indefinite():
 
 
 def test_psd_sqrt_clamps_roundoff_of_a_zero_matrix():
-    # a defect that is zero up to roundoff: the window is tol_psd_clamp at scale 1
+    # a defect that is zero up to roundoff: the window is TOL_PSD_CLAMP at scale 1
     rng = np.random.default_rng(8)
     a = 1e-15 * random_hermitian(rng, 4)
     assert spec_norm(psd_sqrt(a)) < 1e-7
@@ -234,4 +229,4 @@ def test_containment_residual_of_a_small_column_is_its_distance():
 
 def test_default_tol_singleton():
     assert linalg.DEFAULT_TOL is DEFAULT_TOL
-    assert DEFAULT_TOL.tol_pure == 1e-8
+    assert isinstance(DEFAULT_TOL, float)

@@ -90,7 +90,7 @@ def test_sampled_tuples_validate(seed, n, dim, m):
     rng = np.random.default_rng(seed)
     for mats in (random_commuting_tuple(rng, n, dim), random_nilpotent_pair(rng, dim)):
         t = validate(mats)
-        assert t.dim == dim and all(spec_norm(x) <= 1.0 + t.tol.tol_structural for x in t)
+        assert t.dim == dim and all(spec_norm(x) <= 1.0 + t.tol for x in t)
     t = szego_tuple_from_nodes(random_nodes(rng, m, n))
     assert (t.n, t.dim) == (n, m)
 

@@ -24,7 +24,7 @@ from polydisc.hardy import (
     unitary_symbol,
     wandering_subspaces,
 )
-from polydisc.linalg import DEFAULT_TOL, Subspace, herm_eig, null_space, projector_residual, spec_norm
+from polydisc.linalg import TOL_RANK, Subspace, herm_eig, null_space, projector_residual, spec_norm
 
 
 def dense_projector(sub):
@@ -35,12 +35,12 @@ def dense_distance(u, v):
     return spec_norm(dense_projector(u) - dense_projector(v))
 
 
-def dense_intersection(spaces, tol=DEFAULT_TOL):
+def dense_intersection(spaces):
     """The numerical null eigenspace of sum_i (I - P_i)."""
     ambient = spaces[0].ambient_dim
     acc = sum(np.eye(ambient) - dense_projector(s) for s in spaces)
-    vals, vecs = herm_eig(acc, tol)
-    keep = vals < tol.tol_rank * max(float(vals[0]), 1.0)
+    vals, vecs = herm_eig(acc)
+    keep = vals < TOL_RANK * max(float(vals[0]), 1.0)
     return Subspace(ambient, vecs[:, keep])
 
 

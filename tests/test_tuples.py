@@ -13,7 +13,6 @@ from polydisc.linalg import hermitian_part, spec_norm
 from polydisc.sampling import random_commuting_tuple, random_nodes
 from polydisc.tuples import (
     CTuple,
-    classical_defect,
     classical_defect_sq,
     classify,
     defect_first_kind,
@@ -86,6 +85,14 @@ def test_validate_rejects_ragged():
         validate([])
 
 
+def test_validate_rejects_negative_or_nan_tol():
+    with pytest.raises(ValueError):
+        validate([np.diag([0.5])], -1e-3)
+    with pytest.raises(ValueError):  # NaN would make every gate comparison false
+        validate([np.diag([0.5])], float("nan"))
+    assert validate([np.diag([0.5])], 0.0).tol == 0.0
+
+
 def test_validate_freezes_matrices():
     t = validate([np.diag([0.5])])
     with pytest.raises(ValueError):
@@ -154,21 +161,6 @@ def test_defect_first_kind_examples():
     a = 0.6
     d, _ = defect_first_kind(validate([np.array([[a]])]))
     np.testing.assert_allclose(d, [[np.sqrt(1 - a**2)]], atol=1e-14)
-
-
-def test_classical_defect_examples():
-    d, _ = classical_defect(np.zeros((1, 1)))
-    np.testing.assert_allclose(d, [[1.0]], atol=0)
-    j = np.array([[0.0, 1.0], [0.0, 0.0]])
-    d, space = classical_defect(j)
-    np.testing.assert_allclose(d, np.diag([1.0, 0.0]), atol=1e-12)
-    assert space.dim == 1
-    q = np.array([[0.0, 1.0], [1.0, 0.0]])  # unitary
-    d, space = classical_defect(q)
-    np.testing.assert_allclose(d, np.zeros((2, 2)), atol=1e-12)
-    assert space.dim == 0
-    with pytest.raises(NotContraction):
-        classical_defect(np.array([[1.5]]))
 
 
 def test_classical_defect_sq_adjoint_direction():
