@@ -278,29 +278,21 @@ def _formula_coefficient_blocks(t: CTuple, root: np.ndarray, n_deg: int) -> dict
     d, n = t.dim, t.n
     refuse_over_budget(16 * (n_deg + 1) ** n * d * d * (n + 1),
                        f"Taylor blocks of {n_deg + 1}^{n} multi-indices at dim {d}")
-    adjoints = [m.conj().T for m in t]
     box = list(itertools.product(range(n_deg + 1), repeat=n))
     space = build_space(n, n_deg, 1)
     powers = dict(zip(map(tuple, space.exps.tolist()), adjoint_powers(t, space)))
 
-    # finite part E_j: coefficient at delta (0/1 exponents) and delta + e_j
+    # finite part E_j: coefficient at delta (0/1 exponents off slot j) and
+    # delta + e_j, with T^{*delta} read from the power table
     finite: list[dict[tuple, np.ndarray]] = []
     for j in range(n):
         entry: dict[tuple, np.ndarray] = {}
-        others = [i for i in range(n) if i != j]
-        for bits in itertools.product((0, 1), repeat=len(others)):
-            delta = [0] * n
-            mat = np.eye(d, dtype=np.complex128)
-            for i, b in zip(others, bits):
-                if b:
-                    delta[i] = 1
-                    mat = mat @ adjoints[i]
+        for bits in itertools.product((0, 1), repeat=n - 1):
+            base, up = bits[:j] + (0,) + bits[j:], bits[:j] + (1,) + bits[j:]
+            mat = powers[base]
             sign = (-1.0) ** sum(bits)
-            base = tuple(delta)
-            entry[base] = entry.get(base, 0) + sign * (-t[j] @ mat)
-            up = tuple(x + (1 if i == j else 0) for i, x in enumerate(delta))
-            if max(up) <= n_deg:
-                entry[up] = entry.get(up, 0) + sign * mat
+            entry[base] = sign * (-t[j] @ mat)
+            entry[up] = sign * mat
         finite.append(entry)
 
     blocks: dict[tuple, np.ndarray] = {}

@@ -242,7 +242,9 @@ def _emit(report: dict, args) -> None:
 # Subcommands: each takes the parsed arguments and returns its report body
 # and exit code; main adds the provenance and writes it.  A
 # command that times its stages leaves the seconds in args.stage_seconds,
-# which go under provenance.timestamp, outside the deterministic body.
+# which go under provenance.timestamp, outside the deterministic body.  A
+# command that settles an option's value itself writes it back into args, so
+# that provenance.config records the value the run used.
 
 
 def cmd_classify(args) -> tuple[dict, int]:
@@ -289,10 +291,10 @@ def cmd_charfn(args) -> tuple[dict, int]:
         )
     f = build_charfn(t, build_defects(t, mask))
 
-    points, grid_pa = [], args.grid
+    points = []
     if args.points_file is not None:
-        points, grid_pa = _read_points(_load_json(args.points_file), t.n, grid_pa)
-    inner = inner_residual(f, torus_grid(t.n, grid_pa))
+        points, args.grid = _read_points(_load_json(args.points_file), t.n, args.grid)
+    inner = inner_residual(f, torus_grid(t.n, args.grid))
     sampled = default_points(t.n, seed=args.seed)
     values = f.eval(np.reshape(list(sampled) + points, (-1, t.n)))
     max_norm = float(np.max(spec_norms(values)))
@@ -302,7 +304,7 @@ def cmd_charfn(args) -> tuple[dict, int]:
         "input_dim": f.input_dim,
         "output_dim": f.output_dim,
         "windowed": mask is not None,
-        "grid_per_axis": grid_pa,
+        "grid_per_axis": args.grid,
         "inner_residual": inner,
         "max_sampled_norm": max_norm,
         "points": [
@@ -315,9 +317,10 @@ def cmd_charfn(args) -> tuple[dict, int]:
 
 def cmd_hardy(args) -> tuple[dict, int]:
     sym = symbol_from_json(_load_json(args.symbol_file))
-    degree = args.degree or 6
+    degree = args.degree = args.degree or 6
+    args.window = args.window or 1
     space = build_space(sym.n, degree, sym.input_dim)
-    model = quotient_model(space, sym, args.grid, args.window or 1)
+    model = quotient_model(space, sym, args.grid, args.window)
     rep = structural_checks(model, args.tol)
     degrees = list(range(2, max(degree, 6) + 1))
     growth = None

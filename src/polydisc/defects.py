@@ -17,6 +17,7 @@ artifact rows and columns drop out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import ceil, log
 
 import numpy as np
@@ -109,11 +110,13 @@ class JointDefect:
     min_eig: float
 
 
-def _assemble_blocks(diag_blocks, off_block) -> np.ndarray:
-    """The n x n block matrix with diag_blocks[i] on the diagonal and
-    off_block(i, j) off it."""
+def block_defect(diag_blocks, off_blocks) -> np.ndarray:
+    """The Hermitian part of the n x n block operator on C^{nd} with
+    diag_blocks[i] on the diagonal and off_blocks[i, j] off it: the one
+    assembly of the joint and commutator defects."""
     n = len(diag_blocks)
-    return np.block([[diag_blocks[i] if i == j else off_block(i, j) for j in range(n)] for i in range(n)])
+    rows = [[diag_blocks[i] if i == j else off_blocks[i, j] for j in range(n)] for i in range(n)]
+    return hermitian_part(np.block(rows))
 
 
 def joint_defect(t: CTuple, mask=None) -> JointDefect:
@@ -128,11 +131,8 @@ def joint_defect(t: CTuple, mask=None) -> JointDefect:
     first.
     """
     diag = [_apply_mask(mask, full_truncated_defect(t, i)) for i in range(t.n)]
-
-    def off(i, j):
-        return _apply_mask(mask, joint_commutator(t, i, j))
-
-    herm = hermitian_part(_assemble_blocks(diag, off))
+    off = {(i, j): _apply_mask(mask, joint_commutator(t, i, j)) for i, j in permutations(range(t.n), 2)}
+    herm = block_defect(diag, off)
     vals, _ = herm_eig(herm, t.tol)
     min_eig = float(vals[-1])
     space = range_basis(herm) if min_eig >= -psd_clamp(vals) else None
@@ -143,11 +143,11 @@ def commutator_defect(t: CTuple, mask=None) -> tuple[np.ndarray, float]:
     """The commutator defect: classical defects on the diagonal, plain
     commutators [T_j, T_i^*] off it.  Returns (matrix, min eigenvalue)."""
     diag = [_apply_mask(mask, classical_defect_sq(t[i])) for i in range(t.n)]
-
-    def off(i, j):
-        return _apply_mask(mask, t[j] @ t[i].conj().T - t[i].conj().T @ t[j])
-
-    herm = hermitian_part(_assemble_blocks(diag, off))
+    off = {
+        (i, j): _apply_mask(mask, t[j] @ t[i].conj().T - t[i].conj().T @ t[j])
+        for i, j in permutations(range(t.n), 2)
+    }
+    herm = block_defect(diag, off)
     vals, _ = herm_eig(herm, t.tol)
     return herm, float(vals[-1])
 
@@ -155,15 +155,16 @@ def commutator_defect(t: CTuple, mask=None) -> tuple[np.ndarray, float]:
 def series_cutoff(t: CTuple, tol: float | None = None) -> int:
     """Series length making the geometric tail fall below tol (default t.tol).
 
-    Uses ceil(log tol / (2 log rho_max)), at most SERIES_CAP; nilpotent-ish
-    tuples (rho below 1e-6) terminate exactly at the dimension.
+    Uses ceil(log tol / (2 log rho_max)), at most SERIES_CAP; no length
+    meets tol = 0, which gets SERIES_CAP.  Nilpotent-ish tuples (rho below
+    1e-6) terminate exactly at the dimension.
     """
     tol = t.tol if tol is None else tol
     _, radii = is_pure(t)
     rho = max(radii)
     if rho < 1e-6:
         return min(SERIES_CAP, t.dim)
-    if rho >= 1.0:
+    if rho >= 1.0 or tol <= 0.0:
         return SERIES_CAP
     return max(1, min(SERIES_CAP, ceil(log(tol) / (2.0 * log(rho)))))
 

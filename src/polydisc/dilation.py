@@ -26,7 +26,8 @@ def select_degree(t: CTuple) -> int:
     """Smallest N with rho_max^(N+1) * sqrt(n) * dim <= t.tol, the tuple's
     structural tolerance.
 
-    Capped at DEGREE_CAP.  Tuples with spectral radius below 1e-6 are
+    Capped at DEGREE_CAP, which is also the degree of t.tol = 0, a target
+    that no N meets.  Tuples with spectral radius below 1e-6 are
     treated as nilpotent and get N = dim, the largest possible nilpotency
     index, where the coefficient series terminates exactly.
     """
@@ -38,6 +39,8 @@ def select_degree(t: CTuple) -> int:
     target = t.tol / (math.sqrt(t.n) * t.dim)
     if target >= 1.0:
         return 1
+    if target <= 0.0:
+        return DEGREE_CAP
     need = math.ceil(math.log(target) / math.log(rho)) - 1
     return max(1, min(int(need), DEGREE_CAP))
 
@@ -55,7 +58,6 @@ class DilationData:
     degree: int
     coeff_basis: Subspace
     pi: np.ndarray
-    image_basis: Subspace
     tail_bound: float
 
 
@@ -131,10 +133,9 @@ def build_dilation(t: CTuple, degree: int | None = None) -> DilationData:
     space = build_space(t.n, n_deg, basis.dim)
 
     pi = (basis.basis.conj().T @ (root @ adjoint_powers(t, space))).reshape(space.dim, t.dim)
-    image = range_basis(pi)
     # certified bound on the dilation rows outside the truncation box
     tail = spec_norm(root) * coefficient_tail_sum(t, n_deg)
-    return DilationData(t, space, n_deg, basis, pi, image, tail)
+    return DilationData(t, space, n_deg, basis, pi, tail)
 
 
 def isometry_defect(d: DilationData) -> float:
@@ -209,10 +210,11 @@ def image_invariance_defect(d: DilationData) -> float:
     The image is a quotient module, so this should match the intertwining
     defect scale.
     """
+    image = range_basis(d.pi).basis
     worst = 0.0
     for i in range(d.tuple.n):
         below = _below_top(d, i)[:, None]
-        moved = shift_apply(d.space, i, d.image_basis.basis, adjoint=True) * below
-        target = range_basis(d.image_basis.basis * below)
+        moved = shift_apply(d.space, i, image, adjoint=True) * below
+        target = range_basis(image * below)
         worst = max(worst, containment_residual(moved, target))
     return worst

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defects import full_truncated_defect, joint_commutator, joint_defect
+from .defects import block_defect, full_truncated_defect, joint_commutator
 from .errors import (
     BadIndex,
     IncompatibleDims,
@@ -45,6 +45,7 @@ from .linalg import (
     containment_residual,
     herm_eig,
     null_space,
+    numerical_rank,
     phase_fix,
     projector_residual,
     range_basis,
@@ -322,32 +323,34 @@ def is_constant(sym: InnerSymbol) -> bool:
     return all(r == 0 for r in reach_vector(sym))
 
 
-def _blaschke_series(zeros, N: int) -> tuple[np.ndarray, float, float]:
-    """1-d Taylor coefficients of a finite Blaschke product up to degree N.
+def _blaschke_factor(a: complex, variable: int, n: int, N: int) -> tuple[dict, float, float]:
+    """Taylor table of one factor (z - a)/(1 - conj(a) z) in z = z_variable up
+    to degree N: coefficients -a, then (1 - |a|^2) conj(a)^(k-1).  Its l1
+    coefficient norm is 1 + 2|a| and its l1 tail beyond N is (1 + |a|)|a|^N.
+    Adding 0j makes every zero real or imaginary part +0, so the table's bits
+    do not depend on the sign of a zero part of a."""
+    coeffs = {}
+    for k in range(N + 1):
+        c = (-a if k == 0 else (1.0 - abs(a) ** 2) * np.conj(a) ** (k - 1)) + 0j
+        if c != 0:
+            coeffs[tuple(k if j == variable else 0 for j in range(n))] = np.array([[c]])
+    return coeffs, 1.0 + 2.0 * abs(a), (1.0 + abs(a)) * abs(a) ** N
 
-    Returns (coefficients, l1_bound, tail_bound): each factor (z-a)/(1-conj(a)z)
-    has coefficients -a, then (1-|a|^2) conj(a)^{k-1}; products are built by
-    truncated convolution.  The l1 coefficient norm of a factor is 1+2|a| and
-    its l1 tail beyond N is (1+|a|)|a|^N, which combine into a certified
-    bound on the discarded coefficients of the product.
-    """
-    coeffs = np.zeros(N + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    l1s, tails = [], []
-    for a in zeros:
-        fac = np.zeros(N + 1, dtype=np.complex128)
-        fac[0] = -a
-        for k in range(1, N + 1):
-            fac[k] = (1.0 - abs(a) ** 2) * np.conj(a) ** (k - 1)
-        coeffs = np.convolve(coeffs, fac)[: N + 1]
-        l1s.append(1.0 + 2.0 * abs(a))
-        tails.append((1.0 + abs(a)) * abs(a) ** N)
-    total_l1 = float(np.prod(l1s)) if l1s else 1.0
-    tail = 0.0
-    for j, tj in enumerate(tails):
-        rest = float(np.prod([l for i, l in enumerate(l1s) if i != j])) if len(l1s) > 1 else 1.0
-        tail += tj * rest
-    return coeffs, total_l1, float(tail)
+
+def _series_product(left: tuple[dict, float, float], right: tuple[dict, float, float], N: int):
+    """The one product rule of Taylor tables (coefficients, l1_bound,
+    tail_bound) truncated at per-variable degree N: blocks multiply by the
+    Cauchy product, l1 bounds multiply, and the discarded part of the
+    product is at most tail l1' + l1 tail'."""
+    coeffs, l1, tail = left
+    right_coeffs, right_l1, right_tail = right
+    merged: dict = {}
+    for b1, m1 in coeffs.items():
+        for b2, m2 in right_coeffs.items():
+            beta = tuple(x + y for x, y in zip(b1, b2))
+            if all(b <= N for b in beta):
+                merged[beta] = merged[beta] + m1 @ m2 if beta in merged else m1 @ m2
+    return merged, l1 * right_l1, tail * right_l1 + l1 * right_tail
 
 
 def symbol_taylor(sym: InnerSymbol, n: int, N: int) -> tuple[dict, float, float]:
@@ -355,7 +358,8 @@ def symbol_taylor(sym: InnerSymbol, n: int, N: int) -> tuple[dict, float, float]
 
     Returns (coefficients, l1_bound, tail_bound) where l1_bound dominates
     the sum of coefficient block norms and tail_bound the norm of the
-    discarded part.
+    discarded part.  Products, and the zeros of a Blaschke factor, multiply
+    by _series_product.
     """
     if sym.n != n:
         raise IncompatibleDims(f"symbol has n={sym.n}, space has n={n}")
@@ -364,14 +368,10 @@ def symbol_taylor(sym: InnerSymbol, n: int, N: int) -> tuple[dict, float, float]
         return {sym.exponent: np.eye(1, dtype=np.complex128)}, 1.0, 0.0
     if sym.kind == "unitary":
         return {zero: sym.matrix.copy()}, 1.0, 0.0
+    product = functools.partial(_series_product, N=N)
     if sym.kind == "blaschke1":
-        series, l1, tail = _blaschke_series(sym.zeros, N)
-        coeffs = {}
-        for k in range(N + 1):
-            if series[k] != 0:
-                beta = tuple(k if j == sym.variable else 0 for j in range(n))
-                coeffs[beta] = np.array([[series[k]]])
-        return coeffs, l1, tail
+        one = ({zero: np.eye(1, dtype=np.complex128)}, 1.0, 0.0)
+        return functools.reduce(product, (_blaschke_factor(a, sym.variable, n, N) for a in sym.zeros), one)
     if sym.kind == "blockdiag":
         parts = [symbol_taylor(c, n, N) for c in sym.children]
         betas = set().union(*(p[0].keys() for p in parts))
@@ -389,23 +389,7 @@ def symbol_taylor(sym: InnerSymbol, n: int, N: int) -> tuple[dict, float, float]
         tail = max(p[2] for p in parts)
         return coeffs, l1, tail
     if sym.kind == "product":
-        parts = [symbol_taylor(c, n, N) for c in sym.children]
-        coeffs, l1, tail = parts[0]
-        for cd, cl1, ctail in parts[1:]:
-            merged: dict = {}
-            for b1, m1 in coeffs.items():
-                for b2, m2 in cd.items():
-                    beta = tuple(x + y for x, y in zip(b1, b2))
-                    if any(b > N for b in beta):
-                        continue
-                    if beta in merged:
-                        merged[beta] = merged[beta] + m1 @ m2
-                    else:
-                        merged[beta] = m1 @ m2
-            coeffs = merged
-            tail = tail * cl1 + l1 * ctail
-            l1 = l1 * cl1
-        return coeffs, l1, tail
+        return functools.reduce(product, (symbol_taylor(c, n, N) for c in sym.children))
     if sym.kind == "charfn":
         return sym.charfn.taylor_coeffs(N)
     raise ParseError(f"unknown symbol kind {sym.kind!r}")
@@ -417,8 +401,8 @@ def symbol_matrix(space: HardySpace, sym: InnerSymbol) -> tuple[np.ndarray, tupl
     The domain space shares n and N with ``space`` but has coeff_dim =
     input_dim; ``space`` itself must have coeff_dim = output_dim.
     Returns (matrix, reach vector, certified coefficient tail bound).
-    A model whose symbol matrix and the D x D null-space factor that every
-    caller takes of its adjoint exceed BYTE_BUDGET is refused before either.
+    A model whose symbol matrix and the D x D null-space factor of its
+    adjoint in quotient_model exceed BYTE_BUDGET is refused before either.
     """
     if space.coeff_dim != sym.output_dim:
         raise IncompatibleDims(
@@ -683,19 +667,20 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     keep1 = row_mask(space, tuple(c - 1 for c in model.exact_window))
     mq = [shift_apply(space, i, q) for i in range(n)]  # M_i Q
     a = [s.conj().T @ mq[i] for i in range(n)]  # S^H M_i Q
+    pairs = list(itertools.permutations(range(n), 2))
 
     residuals: dict[str, float] = {}
     dims: dict[str, int] = {"quotient": model.quotient_dim}
 
-    def leak(b, moved):
-        """||K_1 (I - B B^H) moved (K_0 B)^H|| for the window row masks K_0, K_1.
-        With K_0 B = U R a thin QR factorisation, U drops out of the norm."""
-        r = np.linalg.qr(b * keep0[:, None], mode="r")
-        return spec_norm(((moved - b @ (b.conj().T @ moved)) * keep1[:, None]) @ r.conj().T)
+    def leak(b, moves):
+        """max over X in moves of ||K_1 (I - B B^H) X (K_0 B)^H|| for the window row masks
+        K_0, K_1.  With K_0 B = U R a thin QR factorisation, U drops out of the norm."""
+        r_h = np.linalg.qr(b * keep0[:, None], mode="r").conj().T
+        return max(spec_norm(((x - b @ (b.conj().T @ x)) * keep1[:, None]) @ r_h) for x in moves)
 
     # Invariance of the two halves under the (adjoint) shifts.
-    residuals["submodule_invariant"] = max(leak(s, shift_apply(space, i, s)) for i in range(n))
-    residuals["quotient_coinvariant"] = max(leak(q, shift_apply(space, i, q, adjoint=True)) for i in range(n))
+    residuals["submodule_invariant"] = leak(s, (shift_apply(space, i, s) for i in range(n)))
+    residuals["quotient_coinvariant"] = leak(q, (shift_apply(space, i, q, adjoint=True) for i in range(n)))
 
     # The compressions commute on the window.
     residuals["model_ops_commute"] = max(
@@ -707,9 +692,9 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     )
 
     # Defect formula: I - C_i^* C_i equals the cross-projection product.
+    classical = [classical_defect_sq(t[i]) for i in range(n)]
     residuals["defect_formula"] = max(
-        spec_norm(mask1 @ (classical_defect_sq(t[i]) - a[i].conj().T @ a[i]) @ mask1)
-        for i in range(n)
+        spec_norm(mask1 @ (classical[i] - a[i].conj().T @ a[i]) @ mask1) for i in range(n)
     )
 
     # Commutator formula: [C_j, C_i^*] through the submodule projector.
@@ -720,24 +705,21 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
                 @ ((t[j] @ t[i].conj().T - t[i].conj().T @ t[j]) - a[i].conj().T @ a[j])
                 @ mask1
             )
-            for i, j in itertools.permutations(range(n), 2)
+            for i, j in pairs
         ),
         default=0.0,
     )
 
     # Beurling equivalence battery on the defect operators of the model.
-    defect_sqs = [mask1 @ classical_defect_sq(t[i]) @ mask1 for i in range(n)]
+    defect_sqs = [mask1 @ d @ mask1 for d in classical]
     defect_spaces = [range_basis(d) for d in defect_sqs]
     residuals["defects_annihilate"] = max(
-        (
-            spec_norm(mask2 @ defect_sqs[i] @ defect_sqs[j] @ mask2)
-            for i, j in itertools.permutations(range(n), 2)
-        ),
+        (spec_norm(mask2 @ defect_sqs[i] @ defect_sqs[j] @ mask2) for i, j in pairs),
         default=0.0,
     )
     iso = 0.0
     invar = 0.0
-    for i, j in itertools.permutations(range(n), 2):
+    for i, j in pairs:
         basis = mask2 @ defect_spaces[j].basis  # windowed orthonormal columns, read at scale 1
         gram = basis.conj().T @ (t[i].conj().T @ t[i]) @ basis
         iso = max(iso, spec_norm(gram - basis.conj().T @ basis))
@@ -745,11 +727,13 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     residuals["defect_isometry"] = iso
     residuals["defect_invariance"] = invar
 
-    # delta_ij columns stay inside the truncated defect space D_{i,C}.
-    truncated_spaces = [range_basis(mask1 @ full_truncated_defect(t, i) @ mask1) for i in range(n)]
+    # Windowed D^2_{i,C} and delta_ij, formed once for the defect spaces, the
+    # inclusion check and the joint defect.  delta_ij columns stay inside D_{i,C}.
+    truncated = [mask1 @ full_truncated_defect(t, i) @ mask1 for i in range(n)]
+    commutators = {(i, j): mask1 @ joint_commutator(t, i, j) @ mask1 for i, j in pairs}
+    truncated_spaces = [range_basis(d) for d in truncated]
     rng_incl = 0.0
-    for i, j in itertools.permutations(range(n), 2):
-        delta = mask1 @ joint_commutator(t, i, j) @ mask1
+    for (i, _), delta in commutators.items():
         target = truncated_spaces[i]
         if target.dim:
             rng_incl = max(rng_incl, containment_residual(delta, target))
@@ -793,7 +777,7 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
                 shifted = shift_apply(space, j, wp.basis) * keep1[:, None]
                 wl_invar = max(wl_invar, containment_residual(shifted, span0[pset]))
                 inside = span1[pset].basis
-                z_wp = masked_span(shift_apply(space, j, wp.basis), keep1).basis
+                z_wp = range_basis(shifted).basis
                 split = masked_span(inside - z_wp @ (z_wp.conj().T @ inside), keep1)
                 wl_split = max(wl_split, projector_residual(split, span1[tuple(sorted(pset + (j,)))]))
     residuals["wandering_shift_invariance"] = wl_invar
@@ -818,8 +802,8 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     dims["wandering_effective"] = w_eff.dim
 
     # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q.
-    jd = joint_defect(t, mask=mask1)
-    dims["joint_defect"] = (jd.space if jd.space is not None else range_basis(jd.matrix)).dim
+    joint = block_defect(truncated, commutators)
+    dims["joint_defect"] = range_basis(joint).dim
     qd = model.quotient_dim
     gram = np.zeros((n * qd, n * qd), dtype=np.complex128)
     for i in range(n):
@@ -828,7 +812,7 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     big_mask = np.zeros_like(gram)
     for i in range(n):
         big_mask[i * qd : (i + 1) * qd, i * qd : (i + 1) * qd] = mask1
-    residuals["joint_defect_gram_identity"] = spec_norm(big_mask @ (jd.matrix - gram) @ big_mask)
+    residuals["joint_defect_gram_identity"] = spec_norm(big_mask @ (joint - gram) @ big_mask)
 
     # Minimality: overlap of the submodule with constant vectors of E*.
     # P_S e = Theta Theta(0)^* e for a constant e, so the overlap is ||Theta(0)||.
@@ -849,6 +833,8 @@ def ahern_clark_growth(sym: InnerSymbol, n_range) -> list[int]:
     The strict growth of dim Q with N is the desk-scale shadow of the
     infinite-dimensionality of quotient modules in several variables;
     constant symbols (trivial quotient) and one variable are excluded.
+    Each dimension is D minus the numerical rank of the symbol matrix, read
+    off its singular values alone.
     """
     if sym.n < 2:
         raise ValueError("dimension growth needs at least two variables")
@@ -858,8 +844,7 @@ def ahern_clark_growth(sym: InnerSymbol, n_range) -> list[int]:
     for n_deg in n_range:
         space = build_space(sym.n, int(n_deg), sym.output_dim)
         mat, _, _ = symbol_matrix(space, sym)
-        quot = null_space(mat.conj().T)
-        dims.append(quot.dim)
+        dims.append(space.dim - numerical_rank(np.linalg.svd(mat, compute_uv=False)))
     for a, b in zip(dims, dims[1:]):
         if b <= a:
             raise PolydiscError(f"quotient dimension failed to grow: {dims}")

@@ -169,6 +169,12 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def numerical_rank(s: np.ndarray) -> int:
+    """The one rank rule: the count of the descending singular values s
+    above zero_cut(s[0], TOL_RANK)."""
+    return int(np.sum(s > zero_cut(s[0], TOL_RANK)))
+
+
 def range_basis(a) -> Subspace:
     """Deterministic orthonormal basis of the numerical column space.
 
@@ -181,8 +187,7 @@ def range_basis(a) -> Subspace:
     if a.size == 0 or not np.any(a):
         return Subspace(m, np.zeros((m, 0), dtype=np.complex128))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > zero_cut(s[0], TOL_RANK)))
-    return Subspace(m, phase_fix(u[:, :rank]))
+    return Subspace(m, phase_fix(u[:, : numerical_rank(s)]))
 
 
 def null_space(a) -> Subspace:
@@ -193,8 +198,7 @@ def null_space(a) -> Subspace:
     if a.size == 0 or not np.any(a):
         return Subspace(n, np.eye(n, dtype=np.complex128))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > zero_cut(s[0], TOL_RANK)))
-    return Subspace(n, phase_fix(vh[rank:].conj().T))
+    return Subspace(n, phase_fix(vh[numerical_rank(s) :].conj().T))
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> LoewnerVerdict:

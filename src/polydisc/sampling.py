@@ -48,8 +48,9 @@ def random_commuting_tuple(
     return mats
 
 
-def random_nilpotent_pair(rng: np.random.Generator, dim: int, norm_max: float = 0.9) -> list[np.ndarray]:
-    """Two exactly commuting nilpotents: independent polynomials in one N."""
+def random_nilpotent_pair(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
+    """Two exactly commuting nilpotents: independent polynomials in one N,
+    scaled so that the larger norm is 0.9."""
     strict = np.triu(random_complex(rng, dim, dim), k=1)
     nil2 = strict @ strict
     mats = []
@@ -57,7 +58,7 @@ def random_nilpotent_pair(rng: np.random.Generator, dim: int, norm_max: float = 
         c1, c2 = random_complex(rng, 2, 1)[:, 0]
         mats.append(c1 * strict + c2 * nil2)
     top = max(max(spec_norm(m) for m in mats), 1e-14)
-    return [m * (norm_max / top) for m in mats]
+    return [m * (0.9 / top) for m in mats]
 
 
 # Worst Gram condition number of a node set: eigenvalue noise scales with it,

@@ -249,14 +249,14 @@ def szego_kernel_gram(points: np.ndarray) -> np.ndarray:
     return g
 
 
-def szego_tuple_from_nodes(points, tol: float = DEFAULT_TOL) -> CTuple:
+def szego_tuple_from_nodes(points) -> CTuple:
     """Compression tuple on the span of Szego kernel functions at nodes.
 
     ``points`` is an (m, n) array of polydisc nodes.  The adjoint of the
     i-th operator acts diagonally by conjugate node coordinates in the
     kernel basis; a Cholesky factor of the Gram matrix transports this to
     an orthonormal basis.  The result is always a pure Szego tuple with
-    spectral radii max_l |w_{l,i}|.
+    spectral radii max_l |w_{l,i}|, validated at DEFAULT_TOL.
     """
     points = np.atleast_2d(as_complex(points))
     m, n = points.shape
@@ -268,11 +268,8 @@ def szego_tuple_from_nodes(points, tol: float = DEFAULT_TOL) -> CTuple:
         raise NearSingularGram(f"Gram matrix condition number {cond:.3e} exceeds 1e12")
     chol = np.linalg.cholesky(g)  # g = chol @ chol^H
     chol_h = chol.conj().T
-    mats = []
-    for i in range(n):
-        adjoint = chol_h @ np.diag(points[:, i].conj()) @ np.linalg.inv(chol_h)
-        mats.append(adjoint.conj().T)
-    return validate(mats, tol)
+    chol_h_inv = np.linalg.inv(chol_h)
+    return validate([(chol_h @ np.diag(points[:, i].conj()) @ chol_h_inv).conj().T for i in range(n)])
 
 
 def complex_to_json(a) -> list:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polydisc.cli import main
+from polydisc.dilation import DEGREE_CAP
 from polydisc.hardy import monomial_symbol, symbol_to_json
 from polydisc.tuples import validate, tuple_to_json
 
@@ -328,3 +329,33 @@ def test_hardy_growth_null_outside_its_range(tmp_path, symbol):
     rep = read(out)
     assert rep["growth"] is None
     assert rep["structural_checks"]["passed"]
+
+
+def test_dilate_zero_tol_runs_at_the_degree_cap(scalar_file, tmp_path):
+    """No truncation degree meets a zero tolerance, so `dilate --tol 0`
+    runs at DEGREE_CAP rather than dying in a logarithm of zero."""
+    out = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-m", "polydisc.cli", "dilate", scalar_file, "--tol", "0", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert read(out)["dilation_defects"]["degree"] == DEGREE_CAP
+
+
+@pytest.mark.parametrize("flags, degree, margin", [([], 6, 1), (["--window", "0"], 6, 1),
+                                                   (["--degree", "4", "--window", "2"], 4, 2)])
+def test_hardy_provenance_records_the_degree_and_margin_it_ran(tmp_path, flags, degree, margin):
+    sym = write_json(tmp_path / "s.json", symbol_to_json(monomial_symbol(2, (1, 0))))
+    out = tmp_path / "r.json"
+    assert main(["hardy", sym, *flags, "--out", str(out)]) == 0
+    rep = read(out)
+    assert rep["model"]["degree"] == degree
+    config = rep["provenance"]["config"]
+    assert (config["truncation_degree"], config["window_margin"]) == (degree, margin)
+
+
+def test_charfn_provenance_records_the_points_file_grid(scalar_file, tmp_path):
+    pts = write_json(tmp_path / "p.json", _points([[0.1, 0.0]], per_axis=24))
+    out = tmp_path / "r.json"
+    assert main(["charfn", scalar_file, pts, "--out", str(out)]) == 0
+    rep = read(out)
+    assert rep["charfn_summary"]["grid_per_axis"] == rep["provenance"]["config"]["grid_per_axis"] == 24

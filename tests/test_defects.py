@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polydisc.defects import (
+    SERIES_CAP,
     build_defects,
     commutator_defect,
     defect_series_residual,
@@ -212,6 +213,12 @@ def test_series_cutoff_rule():
     assert 0.5 ** (2 * k) <= 1e-10
     nil = validate([np.array([[0.0, 1.0], [0.0, 0.0]])])
     assert series_cutoff(nil) == 2
+
+
+def test_series_cutoff_zero_tol_is_the_cap():
+    """No series length meets tol = 0 when rho > 0: the cap, not log(0)."""
+    assert series_cutoff(validate([np.array([[0.5]])]), tol=0.0) == SERIES_CAP
+    assert series_cutoff(validate([np.array([[0.0, 1.0], [0.0, 0.0]])]), tol=0.0) == 2
 
 
 def test_series_residual_random_pure_tuples():

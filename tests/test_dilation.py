@@ -62,7 +62,7 @@ def test_build_dilation_scalar_coefficients():
     for k in range(9):
         np.testing.assert_allclose(d.pi[k, 0], root * a**k, atol=1e-14)
     assert d.tail_bound < 0.05
-    assert d.image_basis.dim == 1
+    assert range_basis(d.pi).dim == 1
 
 
 def test_build_dilation_zero_shift_pair():

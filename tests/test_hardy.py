@@ -40,13 +40,22 @@ from polydisc.hardy import (
     structural_checks,
     symbol_from_json,
     symbol_matrix,
+    symbol_taylor,
     symbol_to_json,
     torus_grid,
     unitary_symbol,
     wandering_subspaces,
 )
 from polydisc.cli import main
-from polydisc.linalg import Subspace, containment_residual, phase_fix, projector_residual, range_basis, spec_norm
+from polydisc.linalg import (
+    Subspace,
+    containment_residual,
+    null_space,
+    phase_fix,
+    projector_residual,
+    range_basis,
+    spec_norm,
+)
 from polydisc.tuples import classical_defect_sq
 
 
@@ -420,7 +429,8 @@ def test_wandering_subspaces_take_one_range_basis_per_variable(monkeypatch, n, d
 def test_structural_checks_factor_each_windowed_subspace_once(monkeypatch):
     """At n = 3, structural_checks windows each W_P once per row mask and
     builds the truncated defect space D_{i,C} once per variable: no
-    (vectors, mask) pair reaches masked_span twice."""
+    (vectors, mask) pair reaches masked_span twice, and each z_j W_P is
+    gathered once and spanned by range_basis."""
     model = quotient_model(build_space(3, 3, 1), monomial_symbol(3, (2, 1, 1)))
     spans, defects, calls = [], [], {"range_basis": 0}
     masked_span = polydisc.hardy.masked_span
@@ -444,9 +454,10 @@ def test_structural_checks_factor_each_windowed_subspace_once(monkeypatch):
     monkeypatch.setattr(polydisc.hardy, "range_basis", counted_basis)
     assert structural_checks(model).passed
     keys = [(id(vectors), keep) for vectors, keep in spans]
-    assert len(set(keys)) == len(keys) == 33  # 7 W_P twice, theta, 9 z_j W_P, 9 splits
+    assert len(set(keys)) == len(keys) == 24  # 7 W_P twice, theta, 9 splits
     assert defects == [0, 1, 2]
-    assert calls["range_basis"] == 33 + 13  # 3 M_i S, 3 D_i, 3 D_{i,C}, 3 pulled, W_eff; joint reads jd.space
+    # 3 M_i S, 3 D_i, 3 D_{i,C}, 3 pulled, 9 gathered z_j W_P, W_eff, the joint defect
+    assert calls["range_basis"] == 24 + 23
 
 
 @pytest.mark.parametrize(
@@ -530,6 +541,60 @@ def test_masked_identity_checker_across_truncations():
         a_small = ambient_defect(m_small, i)
         a_big = r.conj().T @ ambient_defect(m_big, i) @ r
         assert spec_norm(window @ (a_small - a_big) @ window) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        monomial_symbol(2, (2, 1)),
+        blockdiag_symbol([monomial_symbol(2, (1, 1)), unitary_symbol(2, np.eye(1))]),
+        product_symbol([monomial_symbol(2, (1, 0)), monomial_symbol(2, (1, 1))]),
+        blaschke_symbol(2, 1, [0.0, 0.0]),
+        product_symbol([monomial_symbol(3, (1, 0, 1)), blaschke_symbol(3, 1, [0.0])]),
+    ],
+    ids=["monomial", "blockdiag", "product", "blaschke-at-0", "n3-product"],
+)
+def test_growth_is_the_null_space_dimension(sym):
+    """D - rank from the singular values alone gives the dimension of the
+    null space of the adjoint symbol matrix, the quotient's own rule."""
+    degrees = range(2, 7) if sym.n == 2 else range(2, 5)
+    want = []
+    for deg in degrees:
+        mat, _, _ = symbol_matrix(build_space(sym.n, deg, sym.output_dim), sym)
+        want.append(null_space(mat.conj().T).dim)
+    assert ahern_clark_growth(sym, degrees) == want
+
+
+@pytest.mark.parametrize("a, b", [(0.3, -0.5j), (0.2 + 0.4j, -0.6), (0.0, 0.7 - 0.1j), (-0.3, -0.3)])
+def test_blaschke_series_is_the_product_of_its_factors(a, b):
+    """A two-zero Blaschke table is, bit for bit, the product rule applied
+    to the two one-zero tables."""
+    n, v, N = 2, 1, 9
+    coeffs, l1, tail = symbol_taylor(blaschke_symbol(n, v, [a, b]), n, N)
+    pair = product_symbol([blaschke_symbol(n, v, [a]), blaschke_symbol(n, v, [b])])
+    p_coeffs, p_l1, p_tail = symbol_taylor(pair, n, N)
+    assert (l1, tail) == (p_l1, p_tail)
+    assert list(coeffs) == list(p_coeffs)
+    for beta, block in coeffs.items():
+        assert block.tobytes() == p_coeffs[beta].tobytes()
+
+
+@pytest.mark.parametrize("n, degree, alpha", [(2, 5, (2, 1)), (3, 3, (1, 2, 1))])
+def test_structural_checks_eigendecompose_only_the_wandering_grams(monkeypatch, n, degree, alpha):
+    """structural_checks takes 2^n - 1 eigendecompositions, one per Gram
+    matrix of wandering_subspaces, and none of the joint defect."""
+    model = quotient_model(build_space(n, degree, 1), monomial_symbol(n, alpha))
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert structural_checks(model).passed
+    dim_s = model.submodule_basis.dim
+    assert shapes == [(dim_s, dim_s)] * (2**n - 1)
 
 
 def test_ahern_clark_growth():
