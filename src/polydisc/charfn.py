@@ -23,7 +23,15 @@ from .errors import (
     SingularResolvent,
 )
 from .dilation import DilationData, adjoint_powers, coefficient_tail_sum
-from .hardy import build_space, charfn_symbol, inner_residual_symbol, point_stack, row_mask, shift_apply
+from .hardy import (
+    build_space,
+    cauchy_product,
+    charfn_symbol,
+    inner_residual_symbol,
+    point_stack,
+    row_mask,
+    shift_apply,
+)
 from .hardy import torus_grid  # noqa: F401  (re-exported: the grids of inner_residual)
 from .linalg import (
     Subspace,
@@ -269,44 +277,29 @@ class CharFn:
 def _formula_coefficient_blocks(t: CTuple, root: np.ndarray, n_deg: int) -> dict:
     """Taylor blocks of w -> Theta_T(w) D_T as maps C^{nd} -> C^d.
 
-    The formula is a product of the full resolvent series and the finite
-    polynomial sum_j (w_j - T_j) prod_{i != j} (I - w_i T_i^*) acting on
-    slot j; coefficients come from truncated convolution, exact for every
+    The formula is root times the full resolvent series sum_beta w^beta
+    T^{*beta} times the finite polynomial sum_j (w_j - T_j) prod_{i != j}
+    (I - w_i T_i^*) acting on slot j.  The polynomial's coefficient at
+    alpha in {0,1}^n has slot j equal to (-1)^|delta| T^{*delta}, times
+    -T_j when alpha_j = 0, with delta = alpha off slot j; the blocks are
+    the truncated Cauchy product of the two tables, exact for every
     multi-index inside the box.  A box whose blocks (d x nd) and adjoint
     powers (d x d) exceed BYTE_BUDGET is refused before they are built.
     """
     d, n = t.dim, t.n
     refuse_over_budget(16 * (n_deg + 1) ** n * d * d * (n + 1),
                        f"Taylor blocks of {n_deg + 1}^{n} multi-indices at dim {d}")
-    box = list(itertools.product(range(n_deg + 1), repeat=n))
     space = build_space(n, n_deg, 1)
     powers = dict(zip(map(tuple, space.exps.tolist()), adjoint_powers(t, space)))
-
-    # finite part E_j: coefficient at delta (0/1 exponents off slot j) and
-    # delta + e_j, with T^{*delta} read from the power table
-    finite: list[dict[tuple, np.ndarray]] = []
-    for j in range(n):
-        entry: dict[tuple, np.ndarray] = {}
-        for bits in itertools.product((0, 1), repeat=n - 1):
-            base, up = bits[:j] + (0,) + bits[j:], bits[:j] + (1,) + bits[j:]
-            mat = powers[base]
-            sign = (-1.0) ** sum(bits)
-            entry[base] = sign * (-t[j] @ mat)
-            entry[up] = sign * mat
-        finite.append(entry)
-
-    blocks: dict[tuple, np.ndarray] = {}
-    for beta in box:
-        big = np.zeros((d, n * d), dtype=np.complex128)
-        for j, entry in enumerate(finite):
-            acc = np.zeros((d, d), dtype=np.complex128)
-            for alpha, mat in entry.items():
-                gamma = tuple(b - a for b, a in zip(beta, alpha))
-                if min(gamma) >= 0:
-                    acc += powers[gamma] @ mat
-            big[:, j * d : (j + 1) * d] = root @ acc
-        blocks[beta] = big
-    return blocks
+    finite = {}
+    for alpha in itertools.product((0, 1), repeat=n):
+        big = np.empty((d, n * d), dtype=np.complex128)
+        for j in range(n):
+            delta = alpha[:j] + (0,) + alpha[j + 1 :]
+            mat = powers[delta]
+            big[:, j * d : (j + 1) * d] = (-1.0) ** sum(delta) * (mat if alpha[j] else -t[j] @ mat)
+        finite[alpha] = big
+    return {beta: root @ block for beta, block in cauchy_product(powers, finite, n_deg).items()}
 
 
 def build_charfn(t: CTuple, defects: DefectPackage | None = None) -> CharFn:

@@ -56,7 +56,7 @@ from .hardy import (
     structural_checks,
     symbol_from_json,
 )
-from .linalg import DEFAULT_TOL, spec_norms
+from .linalg import DEFAULT_TOL, TOL_PURE, spec_norms
 from .tuples import (
     classify,
     complex_from_json,
@@ -280,11 +280,24 @@ def _read_points(req, n: int, grid_pa: int) -> tuple[list[np.ndarray], int]:
     return points, grid_pa
 
 
+def _not_szego(t) -> NotSzego:
+    """The refusal of a non-Szego tuple, naming the first condition it fails
+    with its witness: purity by a spectral radius, or the Szego inverse by
+    its minimum eigenvalue."""
+    c = classify(t)
+    k = int(np.argmax(c.spectral_radii))
+    reason = (f"its Szego inverse has minimum eigenvalue {c.szego_min_eig:.3e} < 0" if c.is_pure else
+              f"it is not pure (spectral radius of T_{k} is {c.spectral_radii[k]:.3e} > 1 - {TOL_PURE:g})")
+    return NotSzego(f"tuple is not Szego: {reason}", c.szego_min_eig)
+
+
 def cmd_charfn(args) -> tuple[dict, int]:
     t, window = tuple_from_json(_load_json(args.tuple_file), args.tol)
     mask = _file_mask(args, window)
     verdict = is_beurling(t, mask)
-    if not (verdict.holds and verdict.szego_ok):
+    if not verdict.szego_ok:
+        raise _not_szego(t)
+    if not verdict.holds:
         raise NotBeurling(
             "tuple is not Beurling"
             f" (worst pair {verdict.worst_pair}, defect overlap {verdict.residual:.3e})"
@@ -348,6 +361,7 @@ def cmd_hardy(args) -> tuple[dict, int]:
 def cmd_dilate(args) -> tuple[dict, int]:
     t, _ = tuple_from_json(_load_json(args.tuple_file), args.tol)
     d = build_dilation(t, args.degree)
+    args.degree = d.degree
     defects = {
         "degree": d.degree,
         "coeff_rank": d.coeff_basis.dim,

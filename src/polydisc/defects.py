@@ -22,7 +22,7 @@ from math import ceil, log
 
 import numpy as np
 
-from .errors import BadIndex, NotSzego, ShapeMismatch
+from .errors import BadIndex, NotSzego
 from .linalg import (
     Subspace,
     as_complex,
@@ -32,18 +32,9 @@ from .linalg import (
     range_basis,
     spec_norm,
 )
-from .tuples import CTuple, classical_defect_sq, defect_first_kind, is_pure
+from .tuples import CTuple, classical_defect_sq, defect_first_kind, is_pure, push_through
 
 SERIES_CAP = 200  # longest series series_cutoff returns
-
-
-def delta_map(x, a) -> np.ndarray:
-    """The completely positive map A -> X A X^H."""
-    x = np.atleast_2d(as_complex(x))
-    a = np.atleast_2d(as_complex(a))
-    if x.shape[1] != a.shape[0] or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"cannot form X A X^H with shapes {x.shape}, {a.shape}")
-    return x @ a @ x.conj().T
 
 
 def _check_indices(t: CTuple, j: int, p) -> frozenset[int]:
@@ -61,20 +52,21 @@ def _check_indices(t: CTuple, j: int, p) -> frozenset[int]:
 def truncated_defect(t: CTuple, j: int, p) -> np.ndarray:
     """D^2_{j,T,P}: the classical defect of T_j pushed through P.
 
-    Applies A -> A - T_k A T_k^* for k in P in ascending order (the maps
-    commute for commuting tuples, so the order is a convention).  P empty
-    gives back I - T_j^* T_j.
+    Applies A -> A - T_k A T_k^* for k in P in ascending order
+    (tuples.push_through).  P empty gives back I - T_j^* T_j.
     """
     pset = _check_indices(t, j, p)
-    acc = classical_defect_sq(t[j])
-    for k in sorted(pset):
-        acc = acc - delta_map(t[k], acc)
-    return hermitian_part(acc)
+    return hermitian_part(push_through(t, classical_defect_sq(t[j]), sorted(pset)))
 
 
 def full_truncated_defect(t: CTuple, j: int) -> np.ndarray:
     """D^2_{j,T}: the truncated defect with P = everything except j."""
     return truncated_defect(t, j, set(range(t.n)) - {j})
+
+
+def commutator(t: CTuple, i: int, j: int) -> np.ndarray:
+    """The plain commutator [T_j, T_i^*] = T_j T_i^* - T_i^* T_j."""
+    return t[j] @ t[i].conj().T - t[i].conj().T @ t[j]
 
 
 def joint_commutator(t: CTuple, i: int, j: int) -> np.ndarray:
@@ -87,11 +79,7 @@ def joint_commutator(t: CTuple, i: int, j: int) -> np.ndarray:
         raise BadIndex("joint commutator needs two distinct indices")
     _check_indices(t, i, set())
     _check_indices(t, j, set())
-    acc = t[j] @ t[i].conj().T - t[i].conj().T @ t[j]
-    for k in range(t.n):
-        if k not in (i, j):
-            acc = acc - delta_map(t[k], acc)
-    return acc
+    return push_through(t, commutator(t, i, j), [k for k in range(t.n) if k not in (i, j)])
 
 
 def _apply_mask(mask, a: np.ndarray) -> np.ndarray:
@@ -143,10 +131,7 @@ def commutator_defect(t: CTuple, mask=None) -> tuple[np.ndarray, float]:
     """The commutator defect: classical defects on the diagonal, plain
     commutators [T_j, T_i^*] off it.  Returns (matrix, min eigenvalue)."""
     diag = [_apply_mask(mask, classical_defect_sq(t[i])) for i in range(t.n)]
-    off = {
-        (i, j): _apply_mask(mask, t[j] @ t[i].conj().T - t[i].conj().T @ t[j])
-        for i, j in permutations(range(t.n), 2)
-    }
+    off = {(i, j): _apply_mask(mask, commutator(t, i, j)) for i, j in permutations(range(t.n), 2)}
     herm = block_defect(diag, off)
     vals, _ = herm_eig(herm, t.tol)
     return herm, float(vals[-1])

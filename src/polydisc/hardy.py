@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defects import block_defect, full_truncated_defect, joint_commutator
+from .defects import block_defect, commutator, full_truncated_defect, joint_commutator
 from .errors import (
     BadIndex,
     IncompatibleDims,
@@ -337,6 +337,19 @@ def _blaschke_factor(a: complex, variable: int, n: int, N: int) -> tuple[dict, f
     return coeffs, 1.0 + 2.0 * abs(a), (1.0 + abs(a)) * abs(a) ** N
 
 
+def cauchy_product(left: dict, right: dict, N: int) -> dict:
+    """The truncated Cauchy product of two coefficient tables {beta: block}:
+    block gamma of the result sums left[b1] @ right[b2] over b1 + b2 = gamma,
+    for every gamma with all degrees at most N."""
+    merged: dict = {}
+    for b1, m1 in left.items():
+        for b2, m2 in right.items():
+            beta = tuple(x + y for x, y in zip(b1, b2))
+            if all(b <= N for b in beta):
+                merged[beta] = merged[beta] + m1 @ m2 if beta in merged else m1 @ m2
+    return merged
+
+
 def _series_product(left: tuple[dict, float, float], right: tuple[dict, float, float], N: int):
     """The one product rule of Taylor tables (coefficients, l1_bound,
     tail_bound) truncated at per-variable degree N: blocks multiply by the
@@ -344,13 +357,7 @@ def _series_product(left: tuple[dict, float, float], right: tuple[dict, float, f
     product is at most tail l1' + l1 tail'."""
     coeffs, l1, tail = left
     right_coeffs, right_l1, right_tail = right
-    merged: dict = {}
-    for b1, m1 in coeffs.items():
-        for b2, m2 in right_coeffs.items():
-            beta = tuple(x + y for x, y in zip(b1, b2))
-            if all(b <= N for b in beta):
-                merged[beta] = merged[beta] + m1 @ m2 if beta in merged else m1 @ m2
-    return merged, l1 * right_l1, tail * right_l1 + l1 * right_tail
+    return cauchy_product(coeffs, right_coeffs, N), l1 * right_l1, tail * right_l1 + l1 * right_tail
 
 
 def symbol_taylor(sym: InnerSymbol, n: int, N: int) -> tuple[dict, float, float]:
@@ -699,14 +706,7 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
 
     # Commutator formula: [C_j, C_i^*] through the submodule projector.
     residuals["commutator_formula"] = max(
-        (
-            spec_norm(
-                mask1
-                @ ((t[j] @ t[i].conj().T - t[i].conj().T @ t[j]) - a[i].conj().T @ a[j])
-                @ mask1
-            )
-            for i, j in pairs
-        ),
+        (spec_norm(mask1 @ (commutator(t, i, j) - a[i].conj().T @ a[j]) @ mask1) for i, j in pairs),
         default=0.0,
     )
 

@@ -139,23 +139,18 @@ def is_pure(t: CTuple) -> tuple[bool, tuple[float, ...]]:
     return all(r <= 1.0 - TOL_PURE for r in radii), radii
 
 
-def _power(mats, k):
-    """T^k = T_1^{k_1} ... T_n^{k_n} for a 0/1 multi-index k."""
-    dim = mats[0].shape[0]
-    out = np.eye(dim, dtype=np.complex128)
-    for m, ki in zip(mats, k):
-        if ki:
-            out = out @ m
-    return out
+def push_through(t: CTuple, a: np.ndarray, ks) -> np.ndarray:
+    """Apply A -> A - T_k A T_k^* for each k in ``ks``, in that order: the
+    hereditary product prod_k (1 - Delta_k) on A.  The maps commute for a
+    commuting tuple, so the order is a convention that fixes the roundoff."""
+    for k in ks:
+        a = a - t[k] @ a @ t[k].conj().T
+    return a
 
 
 def szego_inverse(t: CTuple) -> np.ndarray:
-    """Signed sum over k in {0,1}^n of (-1)^|k| T^k T^{*k}, hermitized."""
-    acc = np.zeros((t.dim, t.dim), dtype=np.complex128)
-    for k in itertools.product((0, 1), repeat=t.n):
-        p = _power(t.matrices, k)
-        acc += (-1) ** sum(k) * p @ p.conj().T
-    return hermitian_part(acc)
+    """prod_k (1 - Delta_k)(I) = sum over F of (-1)^|F| T_F T_F^*, hermitized."""
+    return hermitian_part(push_through(t, np.eye(t.dim, dtype=np.complex128), range(t.n)))
 
 
 def is_szego(t: CTuple) -> tuple[bool, float]:
@@ -321,8 +316,10 @@ def tuple_from_json(obj, tol: float = DEFAULT_TOL) -> tuple[CTuple, np.ndarray |
     """Parse the tuple file format; returns (tuple, optional window projector).
 
     Schema: {"n": int, "dim": int, "matrices": [...]} with each matrix a
-    dim x dim array of [re, im] pairs.  An optional "window" field holds a
-    projector in the same entry format, used by masked CLI checks.
+    dim x dim array of [re, im] pairs.  An optional "window" field holds an
+    orthogonal projector in the same entry format, used by masked CLI
+    checks; a window P with ||P^2 - P|| or ||P - P^H|| above
+    tol max(||P||, 1) is a ParseError.
     """
     if not isinstance(obj, dict):
         raise ParseError("tuple file must be a JSON object")
@@ -335,7 +332,10 @@ def tuple_from_json(obj, tol: float = DEFAULT_TOL) -> tuple[CTuple, np.ndarray |
     if len(obj["matrices"]) != n:
         raise ParseError(f"expected {n} matrices, got {len(obj['matrices'])}")
     mats = [complex_from_json(m, (dim, dim), f"matrix {i}") for i, m in enumerate(obj["matrices"])]
-    window = None
-    if "window" in obj:
-        window = complex_from_json(obj["window"], (dim, dim), "window")
-    return validate(mats, tol), window
+    window = complex_from_json(obj["window"], (dim, dim), "window") if "window" in obj else None
+    t = validate(mats, tol)
+    if window is not None:
+        gap = max(spec_norm(window @ window - window), spec_norm(window - window.conj().T))
+        if not gap <= tol * max(spec_norm(window), 1.0):
+            raise ParseError(f"window is not an orthogonal projector (residual {gap:.3e})")
+    return t, window

@@ -1,11 +1,14 @@
 """Characteristic-function tests: closed forms, pair identity, inner-ness,
 dilation-form coefficients, and coincidence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from polydisc.charfn import (
     CharFn,
+    _formula_coefficient_blocks,
     alignment_probe,
     build_charfn,
     coincidence_from_unitary,
@@ -18,7 +21,7 @@ from polydisc.charfn import (
     torus_grid,
 )
 from polydisc.defects import build_defects
-from polydisc.dilation import build_dilation
+from polydisc.dilation import adjoint_powers, build_dilation
 from polydisc.errors import (
     BadIndex,
     NotBeurling,
@@ -42,7 +45,7 @@ from polydisc.sampling import (
     random_pure_contraction,
     random_unitary,
 )
-from polydisc.tuples import szego_tuple_from_nodes, validate
+from polydisc.tuples import defect_first_kind, szego_tuple_from_nodes, validate
 
 from .test_tuples import trunc_shift
 
@@ -256,6 +259,52 @@ def test_taylor_coeffs_masked_pair_single_monomial():
     off = sum(spec_norm(c) for k, c in coeffs.items() if k != (1, 0))
     assert off < 1e-14
     assert tail == 0.0  # nilpotent: power norms vanish past the degree
+
+
+def formula_blocks_by_slot(t, root, n_deg):
+    """Block beta of Theta_T(w) D_T, slot j at a time: root times the sum over
+    alpha <= beta of T^{*(beta - alpha)} times the finite polynomial's
+    coefficient at alpha, in lexicographic order of beta."""
+    d, n = t.dim, t.n
+    space = build_space(n, n_deg, 1)
+    powers = dict(zip(map(tuple, space.exps.tolist()), adjoint_powers(t, space)))
+    finite = []
+    for j in range(n):
+        entry = {}
+        for bits in itertools.product((0, 1), repeat=n - 1):
+            base, up = bits[:j] + (0,) + bits[j:], bits[:j] + (1,) + bits[j:]
+            sign = (-1.0) ** sum(bits)
+            entry[base] = sign * (-t[j] @ powers[base])
+            entry[up] = sign * powers[base]
+        finite.append(entry)
+    blocks = {}
+    for beta in itertools.product(range(n_deg + 1), repeat=n):
+        big = np.zeros((d, n * d), dtype=np.complex128)
+        for j, entry in enumerate(finite):
+            acc = np.zeros((d, d), dtype=np.complex128)
+            for alpha, mat in entry.items():
+                gamma = tuple(b - a for b, a in zip(beta, alpha))
+                if min(gamma) >= 0:
+                    acc += powers[gamma] @ mat
+            big[:, j * d : (j + 1) * d] = root @ acc
+        blocks[beta] = big
+    return blocks
+
+
+@pytest.mark.parametrize("n, n_deg", [(1, 9), (2, 5), (3, 3)])
+def test_formula_blocks_match_the_slot_loop(n, n_deg):
+    rng = np.random.default_rng(40 + n)
+    for m in (2, 3, 4):
+        t = szego_tuple_from_nodes(random_nodes(rng, m, n))
+        root = defect_first_kind(t)[0]
+        got = _formula_coefficient_blocks(t, root, n_deg)
+        want = formula_blocks_by_slot(t, root, n_deg)
+        assert got.keys() == want.keys()
+        for beta, block in want.items():
+            if n == 1:
+                np.testing.assert_array_equal(got[beta], block)
+            else:
+                assert np.max(np.abs(got[beta] - block)) <= 1e-15
 
 
 def test_dilation_form_scalar_and_zero():

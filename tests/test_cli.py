@@ -244,6 +244,7 @@ def _points(*points, per_axis=8):
 
 NAN = float("nan")
 SCALAR = [[[[0.5, 0.0]]]]
+SCALAR_TUPLE = {"n": 1, "dim": 1, "matrices": SCALAR}
 MALFORMED = {
     "classify-matrices-int": ("classify", {"n": 1, "dim": 1, "matrices": 5}),
     "classify-matrices-null": ("classify", {"n": 1, "dim": 1, "matrices": None}),
@@ -359,3 +360,63 @@ def test_charfn_provenance_records_the_points_file_grid(scalar_file, tmp_path):
     assert main(["charfn", scalar_file, pts, "--out", str(out)]) == 0
     rep = read(out)
     assert rep["charfn_summary"]["grid_per_axis"] == rep["provenance"]["config"]["grid_per_axis"] == 24
+
+
+@pytest.mark.parametrize(
+    "matrices, reason",
+    [([np.array([[1.0]])], "not pure (spectral radius of T_0 is 1.000e+00"),
+     ([np.array([[0.0, 0.9], [0.0, 0.0]])] * 2, "Szego inverse has minimum eigenvalue -6.200e-01")],
+    ids=["not-pure", "not-szego"],
+)
+def test_charfn_names_the_failed_szego_condition(tmp_path, capsys, matrices, reason):
+    path = write_json(tmp_path / "t.json", tuple_to_json(validate(matrices)))
+    assert main(["charfn", path]) == 3
+    err = capsys.readouterr().err
+    assert "tuple is not Szego" in err and reason in err and "Beurling" not in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol", "0"], ["--degree", "5"]], ids=["auto", "tol-0", "given"])
+def test_dilate_provenance_records_the_degree_it_ran(scalar_file, tmp_path, flags):
+    out = tmp_path / "r.json"
+    assert main(["dilate", scalar_file, *flags, "--out", str(out)]) == 0
+    rep = read(out)
+    assert rep["provenance"]["config"]["truncation_degree"] == rep["dilation_defects"]["degree"]
+
+
+REFUSED = {  # command, file payload (None: a missing file), extra flags, message
+    "matrices-not-list": ("classify", {"n": 1, "dim": 1, "matrices": {"0": SCALAR[0]}}, [], "must be a list"),
+    "matrix-entry-string": ("classify", {"n": 1, "dim": 1, "matrices": [[[["a", 0.0]]]]}, [], "must be numbers"),
+    "matrix-entry-nan": ("classify", {"n": 1, "dim": 1, "matrices": [[[[NAN, 0.0]]]]}, [], "must be finite"),
+    "unreadable-path": ("classify", None, [], "cannot read"),
+    "unitary-no-matrix": ("coincide", {"unitary": [[[1.0, 0.0]]]}, [], "with a 'matrix' field"),
+    "unitary-not-square": ("coincide", {"matrix": [[[1.0, 0.0], [0.0, 0.0]]]}, [], "must be square"),
+    "points-not-object": ("charfn", [[[0.1, 0.0]]], [], "must be a JSON object"),
+    "grid-not-object": ("charfn", {"grid": [8]}, [], "'grid' must be an object"),
+    "points-not-list": ("charfn", {"points": {"0": [[0.1, 0.0]]}}, [], "'points' must be a list"),
+    "point-outside": ("charfn", _points([[0.0, 1.5]]), [], "outside the closed polydisc"),
+    "negative-tol": ("classify", SCALAR_TUPLE, ["--tol", "-1"], "--tol must be a finite number >= 0"),
+    "window-not-projector": ("classify", {**SCALAR_TUPLE, "window": [[[2.0, 0.0]]]}, ["--window", "0"],
+                             "window is not an orthogonal projector"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_input_exits_2_with_one_message(tmp_path, capsys, case):
+    """In-process, so that a line trace of the suite reaches each refusal."""
+    command, payload, flags, message = REFUSED[case]
+    tuple_path = write_json(tmp_path / "t.json", SCALAR_TUPLE)
+    data = str(tmp_path / "missing.json") if payload is None else write_json(tmp_path / "d.json", payload)
+    argv = {
+        "classify": ["classify", data],
+        "coincide": ["coincide", tuple_path, data],
+        "charfn": ["charfn", tuple_path, data],
+    }[command] + flags
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a flag refused by argparse
+        code = exc.code
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith(f"polydisc {command}: ")]
+    assert code == 2
+    assert len(lines) == 1 and message in lines[0], err
+    assert "Traceback" not in err

@@ -9,15 +9,14 @@ from polydisc.defects import (
     build_defects,
     commutator_defect,
     defect_series_residual,
-    delta_map,
     full_truncated_defect,
     joint_commutator,
     joint_defect,
     series_cutoff,
     truncated_defect,
 )
-from polydisc.errors import BadIndex, ShapeMismatch
-from polydisc.linalg import Subspace, containment_residual, loewner_leq, spec_norm
+from polydisc.errors import BadIndex
+from polydisc.linalg import Subspace, containment_residual, hermitian_part, loewner_leq, spec_norm
 from polydisc.sampling import random_commuting_tuple, random_nilpotent_pair, random_nodes
 from polydisc.tuples import (
     classical_defect_sq,
@@ -28,13 +27,9 @@ from polydisc.tuples import (
 from .test_tuples import bishift, trunc_shift
 
 
-def test_delta_map_basics():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(delta_map(np.eye(2), a), a, atol=0)
-    np.testing.assert_allclose(delta_map(np.zeros((2, 2)), a), np.zeros((2, 2)), atol=0)
-    np.testing.assert_allclose(delta_map(np.array([[2.0]]), np.array([[1.0]])), [[4.0]], atol=0)
-    with pytest.raises(ShapeMismatch):
-        delta_map(np.eye(2), np.eye(3))
+def congruence(x, a):
+    """X A X^H."""
+    return x @ a @ x.conj().T
 
 
 def test_truncated_defect_empty_set_is_classical():
@@ -73,8 +68,31 @@ def test_truncated_defect_order_independent():
         expected = truncated_defect(t, 0, {1, 2})
         manual = classical_defect_sq(t[0])
         for k in (2, 1):  # reversed application order
-            manual = manual - delta_map(t[k], manual)
+            manual = manual - congruence(t[k], manual)
         assert spec_norm(expected - manual) <= 1e-12
+
+
+def test_truncated_defect_and_joint_commutator_match_the_congruence_loop():
+    """Bit for bit: each is the congruence loop A -> A - T_k A T_k^* over
+    ascending k, started from I - T_j^* T_j or from [T_j, T_i^*]."""
+    rng = np.random.default_rng(25)
+    for n in (2, 3):
+        for _ in range(8):
+            t = validate(random_commuting_tuple(rng, n, int(rng.integers(1, 6))))
+            for j in range(n):
+                others = [k for k in range(n) if k != j]
+                for size in range(n):
+                    for p in itertools.combinations(others, size):
+                        acc = classical_defect_sq(t[j])
+                        for k in p:
+                            acc = acc - congruence(t[k], acc)
+                        np.testing.assert_array_equal(truncated_defect(t, j, set(p)), hermitian_part(acc))
+            for i, j in itertools.permutations(range(n), 2):
+                acc = t[j] @ t[i].conj().T - t[i].conj().T @ t[j]
+                for k in range(n):
+                    if k not in (i, j):
+                        acc = acc - congruence(t[k], acc)
+                np.testing.assert_array_equal(joint_commutator(t, i, j), acc)
 
 
 def test_joint_commutator_doubly_commuting_vanishes():
@@ -174,8 +192,8 @@ def test_hereditary_inequalities_kernel_tuples():
         for i, j in itertools.permutations(range(n), 2):
             di_sq = classical_defect_sq(t[i])
             di_star_sq = classical_defect_sq(t[i].conj().T)
-            assert loewner_leq(delta_map(t[j], di_sq), di_sq).holds
-            assert loewner_leq(delta_map(t[j], di_star_sq), di_star_sq).holds
+            assert loewner_leq(congruence(t[j], di_sq), di_sq).holds
+            assert loewner_leq(congruence(t[j], di_star_sq), di_star_sq).holds
             from polydisc.linalg import range_basis
 
             space = range_basis(di_sq)

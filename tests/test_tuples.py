@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from polydisc.tuples import (
     CTuple,
     classical_defect_sq,
     classify,
+    complex_to_json,
     defect_first_kind,
     is_beurling,
     is_pure,
@@ -127,11 +130,15 @@ def test_szego_inverse_bishift():
     np.testing.assert_allclose(szego_inverse(t), np.kron(e0, e0), atol=1e-14)
 
 
-def szego_inverse_iterated(t):
-    """The Szego inverse as the one-step composition of maps A -> A - T_i A T_i^*."""
-    acc = np.eye(t.dim, dtype=np.complex128)
-    for m in t.matrices:
-        acc = acc - m @ acc @ m.conj().T
+def szego_inverse_closed(t):
+    """The Szego inverse as the closed sum over F of (-1)^|F| T_F T_F^*."""
+    acc = np.zeros((t.dim, t.dim), dtype=np.complex128)
+    for f in itertools.product((0, 1), repeat=t.n):
+        p = np.eye(t.dim, dtype=np.complex128)
+        for m, fk in zip(t.matrices, f):
+            if fk:
+                p = p @ m
+        acc += (-1) ** sum(f) * p @ p.conj().T
     return hermitian_part(acc)
 
 
@@ -142,8 +149,10 @@ def test_szego_closed_equals_iterated():
         dim = int(rng.integers(1, 7))
         t = validate(random_commuting_tuple(rng, n, dim))
         a = szego_inverse(t)
-        b = szego_inverse_iterated(t)
-        assert np.max(np.abs(a - b)) <= 1e-12
+        b = szego_inverse_closed(t)
+        assert np.max(np.abs(a - b)) <= 1e-14
+        if n == 1:
+            np.testing.assert_array_equal(a, b)
 
 
 def test_defect_first_kind_examples():
@@ -266,6 +275,21 @@ def test_json_window_field():
     obj["window"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     _, window = tuple_from_json(obj)
     np.testing.assert_allclose(window, np.diag([1.0, 0.0]), atol=0)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [np.array([[2.0]]), np.array([[1.0, 1.0], [0.0, 0.0]]), np.diag([1.0, 1e-6])],
+    ids=["not-idempotent", "oblique", "near-projector"],
+)
+def test_json_window_must_be_an_orthogonal_projector(window):
+    dim = window.shape[0]
+    obj = tuple_to_json(validate([0.5 * np.eye(dim)]))
+    obj["window"] = complex_to_json(window)
+    with pytest.raises(ParseError, match="orthogonal projector"):
+        tuple_from_json(obj)
+    _, kept = tuple_from_json(obj, tol=1.0)  # a loose enough tolerance passes it
+    np.testing.assert_array_equal(kept, window)
 
 
 def test_json_parse_errors():
