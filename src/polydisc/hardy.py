@@ -579,6 +579,15 @@ def model_tuple(model: QuotientModel, tol: float = DEFAULT_TOL) -> CTuple:
     return validate(model.model_ops, tol)
 
 
+def _refuse_ungraded(defect: float) -> None:
+    """Refuse a window transported to quotient coordinates as P with ||P^2 - P|| = defect > 1e-10."""
+    if defect > 1e-10:
+        raise PolydiscError(
+            "window does not project cleanly to quotient coordinates "
+            "(non-graded symbol); use tail bounds instead"
+        )
+
+
 def quotient_mask(model: QuotientModel, shrink: int = 0) -> np.ndarray:
     """Window projector transported to quotient coordinates.
 
@@ -589,35 +598,37 @@ def quotient_mask(model: QuotientModel, shrink: int = 0) -> np.ndarray:
     keep = row_mask(model.space, tuple(c - shrink for c in model.exact_window))
     q = model.quotient_basis.basis
     mask = (q.conj().T * keep) @ q
-    if spec_norm(mask @ mask - mask) > 1e-10:
-        raise PolydiscError(
-            "window does not project cleanly to quotient coordinates "
-            "(non-graded symbol); use tail bounds instead"
-        )
+    _refuse_ungraded(spec_norm(mask @ mask - mask))
     return mask
+
+
+def window_isometry(model: QuotientModel, shrink: int = 0) -> np.ndarray:
+    """Orthonormal basis V of the range of P = quotient_mask(model, shrink) = Q_K^H Q_K,
+    Q_K the window rows of Q, from one SVD of Q_K that also reads ||P^2 - P|| =
+    max s^2 (1 - s^2) for the same refusal.  V keeps the singular vectors with
+    s^2 > 1/2, so past that gate ||P - V V^H|| = max min(s^2, 1 - s^2) <= 2e-10."""
+    keep = row_mask(model.space, tuple(c - shrink for c in model.exact_window))
+    u, s, _ = np.linalg.svd(model.quotient_basis.basis[keep].conj().T, full_matrices=False)
+    _refuse_ungraded(np.max(s**2 * (1.0 - s**2), initial=0.0))
+    return phase_fix(u[:, s**2 > 0.5])
 
 
 def wandering_subspaces(model: QuotientModel, tol: float = DEFAULT_TOL) -> dict[tuple, Subspace]:
     """W_P, the part of the submodule orthogonal to z_i S for all i in P, for
     every nonempty index set P (keyed by its ascending tuple).
 
-    A vector S y lies in W_P iff sum_{i in P} ||R_i^H S y||^2 = 0, with R_i a
-    range basis of M_i S; so W_P is S times the numerical null eigenspace of
-    G = sum_i C_i^H C_i, C_i = R_i^H S, a matrix of the size of dim S.  Each
-    term C_i^H C_i is formed once and summed in ascending i.
+    S y is orthogonal to ran M_i S iff C_i y = 0, C_i = (M_i S)^H S, so W_P is S
+    times the numerical null eigenspace of G = sum_{i in P} C_i^H C_i, of the size
+    of dim S (graded symbols: M_i S is a partial isometry, C_i^H C_i = S^H P_{ran
+    M_i S} S).  Each term is formed once and summed in ascending i.
     """
     s, n = model.submodule_basis.basis, model.space.n
-    terms = []
-    for i in range(n):
-        c = range_basis(shift_apply(model.space, i, s)).basis.conj().T @ s
-        terms.append(c.conj().T @ c)
+    cs = [shift_apply(model.space, i, s).conj().T @ s for i in range(n)]
+    terms = [c.conj().T @ c for c in cs]
     out = {}
     for size in range(1, n + 1):
         for p in itertools.combinations(range(n), size):
-            gram = np.zeros((s.shape[1], s.shape[1]), dtype=np.complex128)
-            for i in p:
-                gram += terms[i]
-            vals, vecs = herm_eig(gram, tol)
+            vals, vecs = herm_eig(sum(terms[i] for i in p), tol)
             keep = vals < zero_cut(vals.max(initial=0.0), TOL_RANK)
             out[p] = Subspace(model.space.dim, phase_fix(s @ vecs[:, keep]))
     return out
@@ -653,7 +664,9 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     residual gated at STRUCTURAL_THRESHOLD.
 
     Every residual is evaluated through the model's exact window, shrunk
-    further by the degree reach of the operators inside each identity.
+    further by the degree reach of the operators inside each identity; a
+    quotient-side ||P X P|| is read as ||V^H X V||, V the window_isometry,
+    whose widths r_1, r_2 dims records as "window1" and "window2".
     The minimality check expects the overlap of the submodule with the
     constants to be ||Theta(0)||, since P_S e = Theta Theta(0)^* e for a
     constant e.  By the maximum modulus principle a constant lies in
@@ -668,8 +681,8 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     t = model_tuple(model, tol)
     q = model.quotient_basis.basis
     s = model.submodule_basis.basis
-    mask1 = quotient_mask(model, 1)
-    mask2 = quotient_mask(model, 2)
+    v1, v2 = (window_isometry(model, k) for k in (1, 2))
+    w21 = v1.conj().T @ v2  # V_2 = V_1 W_21: the shrink-2 window lies in the shrink-1 one
     keep0 = row_mask(space, model.exact_window)
     keep1 = row_mask(space, tuple(c - 1 for c in model.exact_window))
     mq = [shift_apply(space, i, q) for i in range(n)]  # M_i Q
@@ -677,13 +690,17 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     pairs = list(itertools.permutations(range(n), 2))
 
     residuals: dict[str, float] = {}
-    dims: dict[str, int] = {"quotient": model.quotient_dim}
+    dims: dict[str, int] = {"quotient": model.quotient_dim, "window1": v1.shape[1], "window2": v2.shape[1]}
+
+    def windowed(x, v=v1):
+        """V^H X V: the window projector V V^H on both sides, in window coordinates."""
+        return v.conj().T @ x @ v
 
     def leak(b, moves):
         """max over X in moves of ||K_1 (I - B B^H) X (K_0 B)^H|| for the window row masks
         K_0, K_1.  With K_0 B = U R a thin QR factorisation, U drops out of the norm."""
-        r_h = np.linalg.qr(b * keep0[:, None], mode="r").conj().T
-        return max(spec_norm(((x - b @ (b.conj().T @ x)) * keep1[:, None]) @ r_h) for x in moves)
+        r_h = np.linalg.qr(b[keep0], mode="r").conj().T
+        return max(spec_norm((x - b @ (b.conj().T @ x))[keep1] @ r_h) for x in moves)
 
     # Invariance of the two halves under the (adjoint) shifts.
     residuals["submodule_invariant"] = leak(s, (shift_apply(space, i, s) for i in range(n)))
@@ -691,64 +708,56 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
 
     # The compressions commute on the window.
     residuals["model_ops_commute"] = max(
-        (
-            spec_norm(mask2 @ (t[i] @ t[j] - t[j] @ t[i]) @ mask2)
-            for i, j in itertools.combinations(range(n), 2)
-        ),
+        (spec_norm(windowed(t[i] @ t[j] - t[j] @ t[i], v2)) for i, j in itertools.combinations(range(n), 2)),
         default=0.0,
     )
 
     # Defect formula: I - C_i^* C_i equals the cross-projection product.
     classical = [classical_defect_sq(t[i]) for i in range(n)]
-    residuals["defect_formula"] = max(
-        spec_norm(mask1 @ (classical[i] - a[i].conj().T @ a[i]) @ mask1) for i in range(n)
-    )
+    residuals["defect_formula"] = max(spec_norm(windowed(classical[i] - a[i].conj().T @ a[i])) for i in range(n))
 
     # Commutator formula: [C_j, C_i^*] through the submodule projector.
     residuals["commutator_formula"] = max(
-        (spec_norm(mask1 @ (commutator(t, i, j) - a[i].conj().T @ a[j]) @ mask1) for i, j in pairs),
+        (spec_norm(windowed(commutator(t, i, j) - a[i].conj().T @ a[j])) for i, j in pairs),
         default=0.0,
     )
 
     # Beurling equivalence battery on the defect operators of the model.
-    defect_sqs = [mask1 @ d @ mask1 for d in classical]
+    defect_sqs = [windowed(d) for d in classical]
     defect_spaces = [range_basis(d) for d in defect_sqs]
     residuals["defects_annihilate"] = max(
-        (spec_norm(mask2 @ defect_sqs[i] @ defect_sqs[j] @ mask2) for i, j in pairs),
+        (spec_norm(w21.conj().T @ defect_sqs[i] @ defect_sqs[j] @ w21) for i, j in pairs),
         default=0.0,
     )
     iso = 0.0
     invar = 0.0
     for i, j in pairs:
-        basis = mask2 @ defect_spaces[j].basis  # windowed orthonormal columns, read at scale 1
-        gram = basis.conj().T @ (t[i].conj().T @ t[i]) @ basis
-        iso = max(iso, spec_norm(gram - basis.conj().T @ basis))
-        invar = max(invar, containment_residual(mask1 @ t[i] @ basis, defect_spaces[j]))
+        basis = w21.conj().T @ defect_spaces[j].basis  # P_2 R_j = V_2 basis, read at scale 1
+        moved = t[i] @ (v2 @ basis)
+        iso = max(iso, spec_norm(moved.conj().T @ moved - basis.conj().T @ basis))
+        invar = max(invar, containment_residual(v1.conj().T @ moved, defect_spaces[j]))
     residuals["defect_isometry"] = iso
     residuals["defect_invariance"] = invar
 
     # Windowed D^2_{i,C} and delta_ij, formed once for the defect spaces, the
-    # inclusion check and the joint defect.  delta_ij columns stay inside D_{i,C}.
-    truncated = [mask1 @ full_truncated_defect(t, i) @ mask1 for i in range(n)]
-    commutators = {(i, j): mask1 @ joint_commutator(t, i, j) @ mask1 for i, j in pairs}
+    # inclusion check and the joint defect.  delta_ij columns stay inside D_{i,C},
+    # read as the columns of delta~ V^H, those of P delta_ij P in window
+    # coordinates: a column maximum depends on the basis.
+    truncated = [windowed(full_truncated_defect(t, i)) for i in range(n)]
+    commutators = {(i, j): windowed(joint_commutator(t, i, j)) for i, j in pairs}
     truncated_spaces = [range_basis(d) for d in truncated]
-    rng_incl = 0.0
-    for (i, _), delta in commutators.items():
-        target = truncated_spaces[i]
-        if target.dim:
-            rng_incl = max(rng_incl, containment_residual(delta, target))
-        else:
-            rng_incl = max(rng_incl, spec_norm(delta))
-    residuals["commutator_range_inclusion"] = rng_incl
+    residuals["commutator_range_inclusion"] = max(
+        (containment_residual(delta @ v1.conj().T, truncated_spaces[i]) if truncated_spaces[i].dim
+         else spec_norm(delta) for (i, _), delta in commutators.items()),
+        default=0.0,
+    )
 
     # Truncated defect space formula: D_{j,C} = clos(M_{z_j}^* Theta E).
     theta_cols = model.symbol_mat[:, : model.symbol.input_dim]  # degree-0 inputs
-    fs_formula = 0.0
-    for j in range(n):
-        pulled = mq[j].conj().T @ theta_cols
-        lhs = range_basis(mask1 @ (mask1 @ pulled))  # windowed span of windowed columns
-        fs_formula = max(fs_formula, projector_residual(lhs, truncated_spaces[j]))
-    residuals["truncated_defect_space_formula"] = fs_formula
+    residuals["truncated_defect_space_formula"] = max(  # the windowed span of the pulled columns
+        projector_residual(range_basis(v1.conj().T @ (mq[j].conj().T @ theta_cols)), truncated_spaces[j])
+        for j in range(n)
+    )
 
     # Wandering subspace machinery.  Truncation artifacts in the submodule
     # live strictly above the exact window (a symbol column is corrupted
@@ -768,18 +777,14 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
 
     wl_invar = 0.0
     wl_split = 0.0
-    for psize in range(1, n):
-        for pset in itertools.combinations(range(n), psize):
-            wp = wander[pset]
-            for j in range(n):
-                if j in pset:
-                    continue
-                shifted = shift_apply(space, j, wp.basis) * keep1[:, None]
-                wl_invar = max(wl_invar, containment_residual(shifted, span0[pset]))
-                inside = span1[pset].basis
-                z_wp = range_basis(shifted).basis
-                split = masked_span(inside - z_wp @ (z_wp.conj().T @ inside), keep1)
-                wl_split = max(wl_split, projector_residual(split, span1[tuple(sorted(pset + (j,)))]))
+    for pset, wp in wander.items():
+        for j in sorted(set(range(n)) - set(pset)):
+            shifted = shift_apply(space, j, wp.basis) * keep1[:, None]
+            wl_invar = max(wl_invar, containment_residual(shifted, span0[pset]))
+            inside = span1[pset].basis
+            z_wp = range_basis(shifted).basis
+            split = masked_span(inside - z_wp @ (z_wp.conj().T @ inside), keep1)
+            wl_split = max(wl_split, projector_residual(split, span1[tuple(sorted(pset + (j,)))]))
     residuals["wandering_shift_invariance"] = wl_invar
     residuals["wandering_splitting"] = wl_split
 
@@ -795,24 +800,18 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
             wj_res = max(wj_res, spec_norm(diff))
     residuals["wandering_projection_agreement"] = wj_res
 
-    # Effective wandering subspace: the part reached from the quotient.
-    x_cols = [(w.conj().T * keep0) @ mq[j] for j in range(n)]  # W^H K_0 M_j Q
-    reached = np.hstack([w @ x for x in x_cols])
-    w_eff = range_basis(reached)
+    # Effective wandering subspace: the part reached from the quotient,
+    # ran W [X_0 ... X_{n-1}] = W ran [X_0 ... X_{n-1}] since W is orthonormal.
+    x_cols = [(w.conj().T * keep0) @ mq[j] for j in range(n)]  # X_j = W^H K_0 M_j Q
+    w_eff = Subspace(space.dim, phase_fix(w @ range_basis(np.hstack(x_cols)).basis))
     dims["wandering_effective"] = w_eff.dim
 
-    # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q.
+    # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q, both in window
+    # coordinates; the rank is read off the singular values alone.
     joint = block_defect(truncated, commutators)
-    dims["joint_defect"] = range_basis(joint).dim
-    qd = model.quotient_dim
-    gram = np.zeros((n * qd, n * qd), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            gram[i * qd : (i + 1) * qd, j * qd : (j + 1) * qd] = x_cols[i].conj().T @ x_cols[j]
-    big_mask = np.zeros_like(gram)
-    for i in range(n):
-        big_mask[i * qd : (i + 1) * qd, i * qd : (i + 1) * qd] = mask1
-    residuals["joint_defect_gram_identity"] = spec_norm(big_mask @ (joint - gram) @ big_mask)
+    dims["joint_defect"] = numerical_rank(np.linalg.svd(joint, compute_uv=False))
+    x_window = np.hstack([x @ v1 for x in x_cols])
+    residuals["joint_defect_gram_identity"] = spec_norm(joint - x_window.conj().T @ x_window)
 
     # Minimality: overlap of the submodule with constant vectors of E*.
     # P_S e = Theta Theta(0)^* e for a constant e, so the overlap is ||Theta(0)||.

@@ -155,24 +155,24 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
 
     The pivot is the first coordinate with modulus above 1e-10 times the
     column max, which keeps the choice stable under tiny perturbations.
+    Each phase is a scalar division, which numpy's array division is not.
     """
     v = as_complex(v).copy()
-    for c in range(v.shape[1]):
-        col = v[:, c]
-        mags = np.abs(col)
-        top = mags.max(initial=0.0)
-        if top == 0.0:
-            continue
-        pivot = int(np.argmax(mags > 1e-10 * top))
-        phase = col[pivot] / abs(col[pivot])
-        v[:, c] = col * np.conj(phase)
+    mags = np.abs(v)
+    top = mags.max(axis=0, initial=0.0)
+    cols = np.flatnonzero(top != 0.0)
+    if not cols.size:
+        return v
+    pivots = np.argmax(mags[:, cols] > 1e-10 * top[cols], axis=0)
+    phase = np.array([c / abs(c) for c in v[pivots, cols]], dtype=np.complex128)
+    v[:, cols] = (v[:, cols].T * np.conj(phase)[:, None]).T
     return v
 
 
 def numerical_rank(s: np.ndarray) -> int:
     """The one rank rule: the count of the descending singular values s
-    above zero_cut(s[0], TOL_RANK)."""
-    return int(np.sum(s > zero_cut(s[0], TOL_RANK)))
+    above zero_cut(s[0], TOL_RANK); 0 for no singular values."""
+    return int(np.sum(s > zero_cut(s.max(initial=0.0), TOL_RANK)))
 
 
 def range_basis(a) -> Subspace:

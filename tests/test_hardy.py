@@ -45,6 +45,7 @@ from polydisc.hardy import (
     torus_grid,
     unitary_symbol,
     wandering_subspaces,
+    window_isometry,
 )
 from polydisc.cli import main
 from polydisc.linalg import (
@@ -372,6 +373,29 @@ def test_quotient_mask_rejects_nongraded():
         quotient_mask(m, 12)
 
 
+@pytest.mark.parametrize("in_q, in_s", [((0, 0), (2, 6)), ((0, 6), (2, 1))], ids=["s-near-1", "s-near-0"])
+def test_window_isometry_spans_the_nearest_projector(in_q, in_s):
+    # Q rotated by theta from z^in_q (a monomial of Q) towards z^in_s (one of
+    # S), one in the shrink-1 window (caps (3, 4)) and one not: Q_K gets a
+    # singular value cos theta or sin theta.  Past the 1e-10 gate V V^H is
+    # within 2e-10 of the mask, so a singular value near 0 is not kept as
+    # window, whatever the rank cut.
+    model = quotient_model(build_space(2, 6, 1), monomial_symbol(2, (2, 1)))
+    space, q = model.space, model.quotient_basis.basis
+    a, b = space.position(in_q, 0), space.position(in_s, 0)
+    for theta, refused in ((1e-6, False), (1e-3, True)):
+        rotation = np.eye(space.dim, dtype=complex)
+        rotation[np.ix_([a, b], [a, b])] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        broken = dataclasses.replace(model, quotient_basis=Subspace(space.dim, rotation @ q))
+        if refused:
+            with pytest.raises(PolydiscError):
+                window_isometry(broken, 1)
+            continue
+        v = window_isometry(broken, 1)
+        assert v.shape[1] == window_isometry(model, 1).shape[1]
+        assert spec_norm(quotient_mask(broken, 1) - v @ v.conj().T) <= 2e-10
+
+
 def test_wandering_subspace_examples():
     n_deg = 5
     s = build_space(2, n_deg, 1)
@@ -406,10 +430,10 @@ def test_wandering_subspace_examples():
 
 
 @pytest.mark.parametrize("n, degree, exponent", [(2, 4, (2, 1)), (3, 3, (1, 1, 1))])
-def test_wandering_subspaces_take_one_range_basis_per_variable(monkeypatch, n, degree, exponent):
-    """range_basis(M_i S) is taken once per variable, not once per index set
-    that contains i (n * 2^(n-1) times), and structural_checks builds the
-    wandering subspaces once per model."""
+def test_wandering_subspaces_take_no_range_basis(monkeypatch, n, degree, exponent):
+    """wandering_subspaces reads each M_i S through (M_i S)^H S and takes no
+    range basis of it, and structural_checks builds the wandering subspaces
+    once per model."""
     model = quotient_model(build_space(n, degree, 1), monomial_symbol(n, exponent))
     calls = {"range_basis": 0, "wandering_subspaces": 0}
     for name in calls:
@@ -421,7 +445,7 @@ def test_wandering_subspaces_take_one_range_basis_per_variable(monkeypatch, n, d
 
         monkeypatch.setattr(polydisc.hardy, name, counted)
     polydisc.hardy.wandering_subspaces(model)
-    assert calls == {"range_basis": n, "wandering_subspaces": 1}
+    assert calls == {"range_basis": 0, "wandering_subspaces": 1}
     assert structural_checks(model).passed
     assert calls["wandering_subspaces"] == 2
 
@@ -456,8 +480,8 @@ def test_structural_checks_factor_each_windowed_subspace_once(monkeypatch):
     keys = [(id(vectors), keep) for vectors, keep in spans]
     assert len(set(keys)) == len(keys) == 24  # 7 W_P twice, theta, 9 splits
     assert defects == [0, 1, 2]
-    # 3 M_i S, 3 D_i, 3 D_{i,C}, 3 pulled, 9 gathered z_j W_P, W_eff, the joint defect
-    assert calls["range_basis"] == 24 + 23
+    # 3 D_i, 3 D_{i,C}, 3 pulled, 9 gathered z_j W_P and W_eff; no M_i S and no joint defect
+    assert calls["range_basis"] == 24 + 19
 
 
 @pytest.mark.parametrize(
@@ -491,6 +515,20 @@ def test_structural_checks_residuals_tight_for_z1():
     assert all(v <= 1e-10 for v in report.residuals.values())
     assert report.dims["wandering"] == 1
     assert report.dims["joint_defect"] == 1
+    # Q is spanned by z_2^b, b <= 6, and the shrunk windows keep b <= 4 and b <= 3
+    assert (report.dims["window1"], report.dims["window2"]) == (5, 4)
+
+
+def test_structural_checks_report_an_empty_shrink2_window():
+    # caps (1, 2, 2): the shrink-2 window holds no row, so the readings
+    # taken in it (model_ops_commute, defects_annihilate, ...) read 0.0
+    sym = blockdiag_symbol([monomial_symbol(3, (2, 1, 1)), unitary_symbol(3, np.eye(1))])
+    model = quotient_model(build_space(3, 3, 2), sym)
+    assert model.exact_window == (1, 2, 2)
+    report = structural_checks(model)
+    assert report.dims["window2"] == 0 < report.dims["window1"]
+    assert report.residuals["model_ops_commute"] == 0.0
+    assert report.passed
 
 
 def test_equivalence_battery_fails_on_full_bishift():

@@ -141,6 +141,43 @@ def test_phase_fix_pivot_is_real_positive():
         assert abs(abs(np.vdot(v[:, c], fixed[:, c])) - np.linalg.norm(v[:, c]) ** 2) < 1e-10
 
 
+def phase_fix_by_column(v):
+    """The per-column loop phase_fix replaced, kept as its bit-level reference."""
+    v = np.asarray(v, dtype=np.complex128).copy()
+    for c in range(v.shape[1]):
+        col = v[:, c]
+        mags = np.abs(col)
+        top = mags.max(initial=0.0)
+        if top == 0.0:
+            continue
+        pivot = int(np.argmax(mags > 1e-10 * top))
+        phase = col[pivot] / abs(col[pivot])
+        v[:, c] = col * np.conj(phase)
+    return v
+
+
+def test_phase_fix_is_the_column_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    cases = [np.zeros((0, 3)), np.zeros((4, 0)), np.zeros((0, 0)), np.ones((1, 1)), np.full((3, 2), -0.0 + 0j)]
+    for k in range(400):
+        rows, cols = (int(rng.integers(0, 3)), int(rng.integers(0, 3))) if k % 4 == 0 else (
+            int(rng.integers(1, 220)), int(rng.integers(1, 40)))
+        v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        if k % 5 == 1:
+            v *= 1e-200  # tiny: the 1e-10 pivot rule is relative to the column max
+        if k % 5 == 2 and cols:
+            v[:, rng.integers(0, cols)] = complex(-0.0, -0.0)  # a zero column keeps its signed zeros
+        if k % 5 == 3:
+            v[rng.random((rows, cols)) < 0.5] = 0.0  # zero leading entries move the pivot
+        if k % 5 == 4:
+            v[: rows // 2] *= 1e-12  # leading entries under the pivot rule
+        cases.append(np.asfortranarray(v) if k % 7 == 0 else v.real.copy() if k % 11 == 0 else v)
+    for v in cases:
+        got, want = phase_fix(v), phase_fix_by_column(v)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 def test_range_basis_rank_and_determinism():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
