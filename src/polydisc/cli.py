@@ -152,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _jsonable(obj):
+    """A report value as JSON: dataclasses, containers and real scalars.
+    Matrices and complex values are written by tuples.complex_to_json."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
@@ -165,10 +167,6 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
         return value if np.isfinite(value) else repr(value)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
     return obj
 
 

@@ -25,14 +25,13 @@ import numpy as np
 from .errors import BadIndex, NotSzego
 from .linalg import (
     Subspace,
-    as_complex,
     hermitian_part,
     herm_eig,
     psd_clamp,
     range_basis,
     spec_norm,
 )
-from .tuples import CTuple, classical_defect_sq, defect_first_kind, is_pure, push_through
+from .tuples import CTuple, classical_defect_sq, compress, defect_first_kind, is_pure, push_through
 
 SERIES_CAP = 200  # longest series series_cutoff returns
 
@@ -82,13 +81,6 @@ def joint_commutator(t: CTuple, i: int, j: int) -> np.ndarray:
     return push_through(t, commutator(t, i, j), [k for k in range(t.n) if k not in (i, j)])
 
 
-def _apply_mask(mask, a: np.ndarray) -> np.ndarray:
-    if mask is None:
-        return a
-    p = np.atleast_2d(as_complex(mask))
-    return p @ a @ p
-
-
 @dataclass(frozen=True)
 class JointDefect:
     """The nd x nd joint defect (Hermitian part), with its range when it is PSD."""
@@ -118,8 +110,8 @@ def joint_defect(t: CTuple, mask=None) -> JointDefect:
     fixes only up to a unitary.  A mask projector compresses every block
     first.
     """
-    diag = [_apply_mask(mask, full_truncated_defect(t, i)) for i in range(t.n)]
-    off = {(i, j): _apply_mask(mask, joint_commutator(t, i, j)) for i, j in permutations(range(t.n), 2)}
+    diag = [compress(mask, full_truncated_defect(t, i)) for i in range(t.n)]
+    off = {(i, j): compress(mask, joint_commutator(t, i, j)) for i, j in permutations(range(t.n), 2)}
     herm = block_defect(diag, off)
     vals, _ = herm_eig(herm, t.tol)
     min_eig = float(vals[-1])
@@ -130,8 +122,8 @@ def joint_defect(t: CTuple, mask=None) -> JointDefect:
 def commutator_defect(t: CTuple, mask=None) -> tuple[np.ndarray, float]:
     """The commutator defect: classical defects on the diagonal, plain
     commutators [T_j, T_i^*] off it.  Returns (matrix, min eigenvalue)."""
-    diag = [_apply_mask(mask, classical_defect_sq(t[i])) for i in range(t.n)]
-    off = {(i, j): _apply_mask(mask, commutator(t, i, j)) for i, j in permutations(range(t.n), 2)}
+    diag = [compress(mask, classical_defect_sq(t[i])) for i in range(t.n)]
+    off = {(i, j): compress(mask, commutator(t, i, j)) for i, j in permutations(range(t.n), 2)}
     herm = block_defect(diag, off)
     vals, _ = herm_eig(herm, t.tol)
     return herm, float(vals[-1])

@@ -213,8 +213,7 @@ def image_invariance_defect(d: DilationData) -> float:
     image = range_basis(d.pi).basis
     worst = 0.0
     for i in range(d.tuple.n):
-        below = _below_top(d, i)[:, None]
-        moved = shift_apply(d.space, i, image, adjoint=True) * below
-        target = range_basis(image * below)
-        worst = max(worst, containment_residual(moved, target))
+        below = _below_top(d, i)
+        moved = shift_apply(d.space, i, image, adjoint=True)[below]
+        worst = max(worst, containment_residual(moved, range_basis(image[below])))
     return worst

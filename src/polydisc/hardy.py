@@ -15,7 +15,8 @@ index, so a vector is a stack of coefficient blocks, one per monomial, and
 every report is bit-stable.  No shift or window is stored as a matrix: the
 shift M_{z_i} and its adjoint act as row gathers of those blocks
 (shift_apply), a product x M_i as the same gather on x^T, and a window as a
-boolean row mask (row_mask) that zeroes or selects rows.
+boolean row selector (row_mask; window_rows for a model's exact window) whose
+rows are read by selection, never by multiplying by the mask.
 """
 
 from __future__ import annotations
@@ -353,11 +354,17 @@ def cauchy_product(left: dict, right: dict, N: int) -> dict:
 def _series_product(left: tuple[dict, float, float], right: tuple[dict, float, float], N: int):
     """The one product rule of Taylor tables (coefficients, l1_bound,
     tail_bound) truncated at per-variable degree N: blocks multiply by the
-    Cauchy product, l1 bounds multiply, and the discarded part of the
-    product is at most tail l1' + l1 tail'."""
+    Cauchy product and l1 bounds multiply.  The discarded part is at most
+    tail l1' + l1 tail' plus ||A_b1|| ||B_b2|| summed over the in-box pairs
+    whose degree b1 + b2 passes N; exact tables (both tails 0) keep tail 0,
+    since the exact window never reads the degrees they overflow into."""
     coeffs, l1, tail = left
     right_coeffs, right_l1, right_tail = right
-    return cauchy_product(coeffs, right_coeffs, N), l1 * right_l1, tail * right_l1 + l1 * right_tail
+    discarded = tail * right_l1 + l1 * right_tail
+    if tail or right_tail:
+        discarded += sum(spec_norm(m1) * spec_norm(m2) for b1, m1 in coeffs.items()
+                         for b2, m2 in right_coeffs.items() if any(x + y > N for x, y in zip(b1, b2)))
+    return cauchy_product(coeffs, right_coeffs, N), l1 * right_l1, discarded
 
 
 def symbol_taylor(sym: InnerSymbol, n: int, N: int) -> tuple[dict, float, float]:
@@ -529,11 +536,11 @@ class QuotientModel:
 
     space: HardySpace
     symbol: InnerSymbol
-    symbol_mat: np.ndarray
+    theta_cols: np.ndarray  # Theta e for the constants e of E: the D x input_dim block of M_Theta
     submodule_basis: Subspace
     quotient_basis: Subspace
     model_ops: tuple[np.ndarray, ...]
-    exact_window: tuple[int, ...]  # per-variable degree caps, for row_mask
+    exact_window: tuple[int, ...]  # per-variable degree caps, read through window_rows
     reach: tuple[float, ...]
     tail_bound: float
 
@@ -566,7 +573,8 @@ def quotient_model(
     for r in reach:
         eff = window_margin if not math.isfinite(r) else max(int(r), window_margin)
         caps.append(space.N - eff)
-    return QuotientModel(space, sym, mat, sub, quot, ops, tuple(caps), reach, tail)
+    theta_cols = mat[:, : sym.input_dim].copy()  # a copy, so the model does not hold all of mat
+    return QuotientModel(space, sym, theta_cols, sub, quot, ops, tuple(caps), reach, tail)
 
 
 def model_tuple(model: QuotientModel, tol: float = DEFAULT_TOL) -> CTuple:
@@ -579,38 +587,33 @@ def model_tuple(model: QuotientModel, tol: float = DEFAULT_TOL) -> CTuple:
     return validate(model.model_ops, tol)
 
 
-def _refuse_ungraded(defect: float) -> None:
-    """Refuse a window transported to quotient coordinates as P with ||P^2 - P|| = defect > 1e-10."""
-    if defect > 1e-10:
+def window_rows(model: QuotientModel, shrink: int = 0) -> np.ndarray:
+    """Selector of the rows of the model's exact window with every cap
+    lowered by ``shrink``: the one construction of a model's window rows."""
+    return row_mask(model.space, tuple(c - shrink for c in model.exact_window))
+
+
+def window_isometry(model: QuotientModel, shrink: int = 0) -> np.ndarray:
+    """Orthonormal basis V of the shrunk window in quotient coordinates, the
+    range of P = Q_K^H Q_K for the window rows Q_K of Q.  One SVD Q_K^H =
+    U S W^H gives P = U S^2 U^H and ||P^2 - P|| = max s^2 (1 - s^2): every s
+    is 0 or 1 on a graded symbol, and past 1e-10 the window is refused.  V
+    keeps the s^2 > 1/2 columns, so past that gate ||P - V V^H|| =
+    max min(s^2, 1 - s^2) <= 2e-10."""
+    u, s, _ = np.linalg.svd(model.quotient_basis.basis[window_rows(model, shrink)].conj().T, full_matrices=False)
+    if np.max(s**2 * (1.0 - s**2), initial=0.0) > 1e-10:
         raise PolydiscError(
             "window does not project cleanly to quotient coordinates "
             "(non-graded symbol); use tail bounds instead"
         )
+    return phase_fix(u[:, s**2 > 0.5])
 
 
 def quotient_mask(model: QuotientModel, shrink: int = 0) -> np.ndarray:
-    """Window projector transported to quotient coordinates.
-
-    Shrinks each per-variable cap by ``shrink`` first.  For graded symbols
-    the transported matrix is an exact orthogonal projection (window and
-    quotient are both monomial-coordinate subspaces); this is asserted.
-    """
-    keep = row_mask(model.space, tuple(c - shrink for c in model.exact_window))
-    q = model.quotient_basis.basis
-    mask = (q.conj().T * keep) @ q
-    _refuse_ungraded(spec_norm(mask @ mask - mask))
-    return mask
-
-
-def window_isometry(model: QuotientModel, shrink: int = 0) -> np.ndarray:
-    """Orthonormal basis V of the range of P = quotient_mask(model, shrink) = Q_K^H Q_K,
-    Q_K the window rows of Q, from one SVD of Q_K that also reads ||P^2 - P|| =
-    max s^2 (1 - s^2) for the same refusal.  V keeps the singular vectors with
-    s^2 > 1/2, so past that gate ||P - V V^H|| = max min(s^2, 1 - s^2) <= 2e-10."""
-    keep = row_mask(model.space, tuple(c - shrink for c in model.exact_window))
-    u, s, _ = np.linalg.svd(model.quotient_basis.basis[keep].conj().T, full_matrices=False)
-    _refuse_ungraded(np.max(s**2 * (1.0 - s**2), initial=0.0))
-    return phase_fix(u[:, s**2 > 0.5])
+    """The window projector in quotient coordinates, V V^H with V =
+    window_isometry(model, shrink), which refuses a non-graded window."""
+    v = window_isometry(model, shrink)
+    return v @ v.conj().T
 
 
 def wandering_subspaces(model: QuotientModel, tol: float = DEFAULT_TOL) -> dict[tuple, Subspace]:
@@ -632,12 +635,6 @@ def wandering_subspaces(model: QuotientModel, tol: float = DEFAULT_TOL) -> dict[
             keep = vals < zero_cut(vals.max(initial=0.0), TOL_RANK)
             out[p] = Subspace(model.space.dim, phase_fix(s @ vecs[:, keep]))
     return out
-
-
-def masked_span(vectors, keep: np.ndarray) -> Subspace:
-    """Range basis of the columns with the rows outside ``keep`` zeroed (the
-    windowed span of the vectors); ``keep`` is a boolean row mask."""
-    return range_basis(np.atleast_2d(as_complex(vectors)) * keep[:, None])
 
 
 @dataclass(frozen=True)
@@ -683,8 +680,7 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     s = model.submodule_basis.basis
     v1, v2 = (window_isometry(model, k) for k in (1, 2))
     w21 = v1.conj().T @ v2  # V_2 = V_1 W_21: the shrink-2 window lies in the shrink-1 one
-    keep0 = row_mask(space, model.exact_window)
-    keep1 = row_mask(space, tuple(c - 1 for c in model.exact_window))
+    keep0, keep1 = window_rows(model, 0), window_rows(model, 1)
     mq = [shift_apply(space, i, q) for i in range(n)]  # M_i Q
     a = [s.conj().T @ mq[i] for i in range(n)]  # S^H M_i Q
     pairs = list(itertools.permutations(range(n), 2))
@@ -753,57 +749,56 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     )
 
     # Truncated defect space formula: D_{j,C} = clos(M_{z_j}^* Theta E).
-    theta_cols = model.symbol_mat[:, : model.symbol.input_dim]  # degree-0 inputs
+    theta_cols = model.theta_cols
     residuals["truncated_defect_space_formula"] = max(  # the windowed span of the pulled columns
         projector_residual(range_basis(v1.conj().T @ (mq[j].conj().T @ theta_cols)), truncated_spaces[j])
         for j in range(n)
     )
 
-    # Wandering subspace machinery.  Truncation artifacts in the submodule
-    # live strictly above the exact window (a symbol column is corrupted
-    # only when its degree overflows the box), so wandering readings mask
-    # at the full window, not the shrunk one; shrinking further would
-    # erase generators whose degree equals the symbol reach.  Each W_P is
-    # windowed once per row mask; the K_1 spans are read only when n >= 2.
+    # Wandering subspace machinery, in the rows K_0 of the full window.
+    # Truncation artifacts in the submodule live strictly above the exact
+    # window (a symbol column is corrupted only when its degree overflows
+    # the box); shrinking further would erase generators whose degree equals
+    # the symbol reach.  z_j W_P and the splitting are read in the rows K_1
+    # (``inner`` among those of K_0), padded to K_0 only to meet a K_0 span.
+    # Each W_P is spanned once per window; the K_1 spans only when n >= 2.
     wander = wandering_subspaces(model, tol)
-    span0 = {p: masked_span(wp.basis, keep0) for p, wp in wander.items()}
-    span1 = {p: masked_span(wp.basis, keep1) for p, wp in wander.items() if n >= 2}
-    w_masked = span0[tuple(range(n))]
-    w = w_masked.basis
-    dims["wandering"] = w_masked.dim
-
-    theta_span = masked_span(theta_cols, keep0)
-    residuals["wandering_equals_theta"] = projector_residual(w_masked, theta_span)
+    inner = keep1[keep0]
+    span0 = {p: range_basis(wp.basis[keep0]) for p, wp in wander.items()}
+    span1 = {p: range_basis(wp.basis[keep1]) for p, wp in wander.items() if n >= 2}
+    w_window = span0[tuple(range(n))]
+    w = w_window.basis
+    dims["wandering"] = w_window.dim
+    residuals["wandering_equals_theta"] = projector_residual(w_window, range_basis(theta_cols[keep0]))
 
     wl_invar = 0.0
     wl_split = 0.0
     for pset, wp in wander.items():
         for j in sorted(set(range(n)) - set(pset)):
-            shifted = shift_apply(space, j, wp.basis) * keep1[:, None]
+            shifted = shift_apply(space, j, wp.basis)[keep0] * inner[:, None]  # K_1 rows, padded to K_0
             wl_invar = max(wl_invar, containment_residual(shifted, span0[pset]))
             inside = span1[pset].basis
-            z_wp = range_basis(shifted).basis
-            split = masked_span(inside - z_wp @ (z_wp.conj().T @ inside), keep1)
+            z_wp = range_basis(shifted[inner]).basis
+            split = range_basis(inside - z_wp @ (z_wp.conj().T @ inside))
             wl_split = max(wl_split, projector_residual(split, span1[tuple(sorted(pset + (j,)))]))
     residuals["wandering_shift_invariance"] = wl_invar
     residuals["wandering_splitting"] = wl_split
 
     # Projecting M_{z_j} Q onto W or onto the partial wandering space W_{j^c}
     # must agree: the two projectors coincide on that image.
+    mq0 = [m[keep0] for m in mq]  # K_0 M_j Q
     wj_res = 0.0
     if n >= 2:
         for j in range(n):
-            rest = tuple(i for i in range(n) if i != j)
-            wjc = span0[rest].basis
-            v = mq[j] * keep0[:, None]
-            diff = w @ (w.conj().T @ v) - wjc @ (wjc.conj().T @ v)
+            wjc = span0[tuple(i for i in range(n) if i != j)].basis
+            diff = w @ (w.conj().T @ mq0[j]) - wjc @ (wjc.conj().T @ mq0[j])
             wj_res = max(wj_res, spec_norm(diff))
     residuals["wandering_projection_agreement"] = wj_res
 
     # Effective wandering subspace: the part reached from the quotient,
     # ran W [X_0 ... X_{n-1}] = W ran [X_0 ... X_{n-1}] since W is orthonormal.
-    x_cols = [(w.conj().T * keep0) @ mq[j] for j in range(n)]  # X_j = W^H K_0 M_j Q
-    w_eff = Subspace(space.dim, phase_fix(w @ range_basis(np.hstack(x_cols)).basis))
+    x_cols = [w.conj().T @ m for m in mq0]  # X_j = W^H K_0 M_j Q
+    w_eff = Subspace(len(w), phase_fix(w @ range_basis(np.hstack(x_cols)).basis))
     dims["wandering_effective"] = w_eff.dim
 
     # Joint defect vs the Gram matrix of X_j = P_W M_{z_j}|_Q, both in window
@@ -821,7 +816,7 @@ def structural_checks(model: QuotientModel, tol: float = DEFAULT_TOL) -> Structu
     if theta0 < 1.0 - tol:
         # No constant lies in S, so the wandering space is exactly what
         # the quotient reaches: W_eff = W as subspaces.
-        residuals["wandering_effective_equals_wandering"] = projector_residual(w_eff, w_masked)
+        residuals["wandering_effective_equals_wandering"] = projector_residual(w_eff, w_window)
 
     return StructuralReport(residuals, dims, STRUCTURAL_THRESHOLD)
 

@@ -186,6 +186,15 @@ def classical_defect_sq(x) -> np.ndarray:
     return hermitian_part(np.eye(x.shape[0]) - x.conj().T @ x)
 
 
+def compress(mask, a: np.ndarray) -> np.ndarray:
+    """P A P for a window projector P given as ``mask``, or A when mask is None:
+    the one compression of a tuple-side operator by its window."""
+    if mask is None:
+        return a
+    p = np.atleast_2d(as_complex(mask))
+    return p @ a @ p
+
+
 def is_beurling(t: CTuple, mask=None) -> BeurlingVerdict:
     """Do the defect roots of distinct operators annihilate each other?
 
@@ -200,13 +209,9 @@ def is_beurling(t: CTuple, mask=None) -> BeurlingVerdict:
 def _beurling_verdict(t: CTuple, szego_ok: bool, mask) -> BeurlingVerdict:
     """is_beurling from the Szego flag, computed once by the caller."""
     roots = [psd_sqrt(classical_defect_sq(m), t.tol) for m in t.matrices]
-    p = None if mask is None else np.atleast_2d(as_complex(mask))
     worst, pair = 0.0, None
     for i, j in itertools.permutations(range(t.n), 2):
-        prod = roots[i] @ roots[j]
-        if p is not None:
-            prod = p @ prod @ p
-        res = spec_norm(prod)
+        res = spec_norm(compress(mask, roots[i] @ roots[j]))
         if res > worst:
             worst, pair = res, (i, j)
     holds = worst <= t.tol

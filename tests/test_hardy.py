@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -27,7 +28,6 @@ from polydisc.hardy import (
     gather_blocks,
     inner_residual_symbol,
     is_constant,
-    masked_span,
     model_tuple,
     monomial_symbol,
     offset_ranks,
@@ -46,6 +46,7 @@ from polydisc.hardy import (
     unitary_symbol,
     wandering_subspaces,
     window_isometry,
+    window_rows,
 )
 from polydisc.cli import main
 from polydisc.linalg import (
@@ -263,6 +264,37 @@ def test_two_factor_blaschke_taylor():
     assert 0 < tail < 1.0
 
 
+def long_series(zeros, terms=4000):
+    """The Taylor coefficients of prod_a (z - a)/(1 - conj(a) z) to degree
+    terms - 1, by convolving the closed-form series of each factor."""
+    out = np.ones(1, dtype=complex)
+    for a in zeros:
+        factor = (1 - abs(a) ** 2) * np.conj(a) ** (np.arange(terms) - 1.0)
+        factor[0] = -a
+        out = np.convolve(out, factor)[:terms]
+    return out
+
+
+@pytest.mark.parametrize("zeros, degree, want", [([0.5, 0.5], 3, 1.34765625), ([0.3, -0.4j], 2, 1.196)])
+def test_product_tail_bounds_the_discarded_coefficients(zeros, degree, want):
+    # The l1 mass of the product's coefficients beyond the box, from a
+    # 4000-term convolution, is at most the certified tail: 0.9375 and 0.621
+    # here.  Without the in-box pairs whose degree passes N the tails read
+    # 0.75 and 0.569, below that mass.
+    _, _, tail = symbol_taylor(blaschke_symbol(1, 0, zeros), 1, degree)
+    beyond = float(np.abs(long_series(zeros)[degree + 1 :]).sum())
+    assert beyond <= tail
+    assert tail == pytest.approx(want, abs=1e-3)
+
+
+def test_product_tail_stays_zero_for_exact_tables():
+    # Graded products overflow the box without a tail: the exact window
+    # keeps those degrees out of every reading.
+    for sym in (product_symbol([monomial_symbol(2, (1, 1)), monomial_symbol(2, (1, 0))]),
+                product_symbol([blaschke_symbol(2, 0, [0.0, 0.0]), monomial_symbol(2, (2, 1))])):
+        assert symbol_taylor(sym, 2, 2)[2] == 0.0
+
+
 def test_symbol_matrix_monomial_is_shift():
     s = build_space(2, 4, 1)
     mat, reach, tail = symbol_matrix(s, monomial_symbol(2, (1, 0)))
@@ -393,7 +425,8 @@ def test_window_isometry_spans_the_nearest_projector(in_q, in_s):
             continue
         v = window_isometry(broken, 1)
         assert v.shape[1] == window_isometry(model, 1).shape[1]
-        assert spec_norm(quotient_mask(broken, 1) - v @ v.conj().T) <= 2e-10
+        q_k = broken.quotient_basis.basis[window_rows(broken, 1)]
+        assert spec_norm(q_k.conj().T @ q_k - v @ v.conj().T) <= 2e-10
 
 
 def test_wandering_subspace_examples():
@@ -403,9 +436,10 @@ def test_wandering_subspace_examples():
     w = wandering_subspaces(m)[(0, 1)]
     zvec = np.zeros((s.dim, 1), dtype=complex)
     zvec[s.position((1, 0), 0), 0] = 1.0
-    masked = masked_span(w.basis, row_mask(s, n_deg - 2))
-    assert masked.dim == 1
-    assert containment_residual(zvec, masked) <= 1e-10
+    keep = row_mask(s, n_deg - 2)
+    windowed = range_basis(w.basis[keep])
+    assert windowed.dim == 1
+    assert containment_residual(zvec[keep], windowed) <= 1e-10
 
     mu = quotient_model(s_small := build_space(2, 3, 2), unitary_symbol(2, np.eye(2)))
     w_const = wandering_subspaces(mu)[(0, 1)]
@@ -418,13 +452,13 @@ def test_wandering_subspace_examples():
     mzz = quotient_model(s, monomial_symbol(2, (1, 1)))
     w1 = wandering_subspaces(mzz)[(0,)]
     window = row_mask(s, n_deg - 2)
-    got = masked_span(w1.basis, window)
+    got = range_basis(w1.basis[window])
     expected_cols = []
     for b in range(1, n_deg - 1):
         v = np.zeros(s.dim, dtype=complex)
         v[s.position((1, b), 0)] = 1.0
         expected_cols.append(v)
-    expected = masked_span(np.array(expected_cols).T, window)
+    expected = range_basis(np.array(expected_cols).T[window])
     assert projector_residual(got, expected) <= 1e-10
     assert list(wandering_subspaces(m)) == [(0,), (1,), (0, 1)]  # every nonempty index set
 
@@ -451,37 +485,41 @@ def test_wandering_subspaces_take_no_range_basis(monkeypatch, n, degree, exponen
 
 
 def test_structural_checks_factor_each_windowed_subspace_once(monkeypatch):
-    """At n = 3, structural_checks windows each W_P once per row mask and
-    builds the truncated defect space D_{i,C} once per variable: no
-    (vectors, mask) pair reaches masked_span twice, and each z_j W_P is
-    gathered once and spanned by range_basis."""
-    model = quotient_model(build_space(3, 3, 1), monomial_symbol(3, (2, 1, 1)))
-    spans, defects, calls = [], [], {"range_basis": 0}
-    masked_span = polydisc.hardy.masked_span
+    """At n = 3, structural_checks spans the window rows of each W_P once per
+    window and builds the truncated defect space D_{i,C} once per variable:
+    no K_0 or K_1 row selection of a W_P reaches range_basis twice, and each
+    z_j W_P is gathered once and spanned by range_basis.  At degree 5 every
+    W_P has nonzero rows in K_1 (caps (2, 3, 3), which hold z^(2,1,1)), so
+    no two of these selections share their bits."""
+    model = quotient_model(build_space(3, 5, 1), monomial_symbol(3, (2, 1, 1)))
+    # each W_P's K_0 and K_1 rows and Theta's K_0 rows, by shape and bits; W and
+    # Theta e are both spanned by z^(2,1,1), one unit vector
+    keep0 = window_rows(model, 0)
+    selections = [model.theta_cols[keep0]] + [
+        wp.basis[window_rows(model, shrink)] for wp in wandering_subspaces(model).values() for shrink in (0, 1)]
+    windowed = collections.Counter((rows.shape, rows.tobytes()) for rows in selections)
+    spans, defects, calls = collections.Counter(), [], {"range_basis": 0}
     full_truncated_defect = polydisc.hardy.full_truncated_defect
     range_basis = polydisc.hardy.range_basis
-
-    def counted_span(vectors, keep, *args, **kwargs):
-        spans.append((vectors, keep.tobytes()))  # holding vectors keeps their ids distinct
-        return masked_span(vectors, keep, *args, **kwargs)
 
     def counted_defect(t, i):
         defects.append(i)
         return full_truncated_defect(t, i)
 
-    def counted_basis(*args, **kwargs):
+    def counted_basis(a, *args, **kwargs):
         calls["range_basis"] += 1
-        return range_basis(*args, **kwargs)
+        spans[a.shape, a.tobytes()] += 1
+        return range_basis(a, *args, **kwargs)
 
-    monkeypatch.setattr(polydisc.hardy, "masked_span", counted_span)
     monkeypatch.setattr(polydisc.hardy, "full_truncated_defect", counted_defect)
     monkeypatch.setattr(polydisc.hardy, "range_basis", counted_basis)
     assert structural_checks(model).passed
-    keys = [(id(vectors), keep) for vectors, keep in spans]
-    assert len(set(keys)) == len(keys) == 24  # 7 W_P twice, theta, 9 splits
+    assert len(windowed) == 14  # the 7 K_0 and 7 K_1 selections of W_P; theta shares W's bits
+    assert {key: spans[key] for key in windowed} == dict(windowed)
     assert defects == [0, 1, 2]
-    # 3 D_i, 3 D_{i,C}, 3 pulled, 9 gathered z_j W_P and W_eff; no M_i S and no joint defect
-    assert calls["range_basis"] == 24 + 19
+    # 14 W_P spans, theta, 9 splits, 3 D_i, 3 D_{i,C}, 3 pulled, 9 gathered z_j W_P
+    # and W_eff; no M_i S and no joint defect
+    assert calls["range_basis"] == 14 + 1 + 9 + 19
 
 
 @pytest.mark.parametrize(
@@ -680,7 +718,7 @@ def test_structural_checks_do_not_depend_on_the_submodule_basis(sym, degree):
     # another orthonormal basis of S: the right singular vectors of the
     # symbol matrix's adjoint; the verdict must not move with it
     model = quotient_model(build_space(sym.n, degree, sym.output_dim), sym)
-    _, _, vh = np.linalg.svd(model.symbol_mat.conj().T, full_matrices=False)
+    _, _, vh = np.linalg.svd(symbol_matrix(model.space, sym)[0].conj().T, full_matrices=False)
     other = Subspace(model.space.dim, phase_fix(vh[: model.submodule_basis.dim].conj().T))
     assert projector_residual(other, model.submodule_basis) <= 1e-12
     report = structural_checks(dataclasses.replace(model, submodule_basis=other))

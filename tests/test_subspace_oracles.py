@@ -4,9 +4,10 @@ The references below form projectors QQ^H and identities of the ambient
 dimension on purpose; they are the textbook constructions the thin formulas
 in linalg and hardy replace, kept here as oracles only.  So are the
 quotient-coordinate readings of structural_checks: every windowed identity
-through the quotient_dim x quotient_dim window projector P, the effective
-wandering space as the range of its D-row spanning set, and W_P from the
-range basis of each M_i S.
+through the quotient_dim x quotient_dim window projector P = Q_K^H Q_K,
+every windowed span in D rows with the rows outside the window zeroed, the
+effective wandering space as the range of its D-row spanning set, and W_P
+from the range basis of each M_i S.
 """
 
 import dataclasses
@@ -21,7 +22,6 @@ from polydisc.hardy import (
     STRUCTURAL_THRESHOLD,
     blockdiag_symbol,
     build_space,
-    masked_span,
     model_tuple,
     monomial_symbol,
     product_symbol,
@@ -30,6 +30,7 @@ from polydisc.hardy import (
     row_mask,
     shift_apply,
     structural_checks,
+    symbol_matrix,
     unitary_symbol,
     wandering_subspaces,
 )
@@ -70,6 +71,20 @@ def dense_wandering(model, pset):
     s = model.submodule_basis
     pieces = [s] + [null_space(shift_apply(model.space, i, s.basis).conj().T) for i in pset]
     return dense_intersection(pieces)
+
+
+def window_projector(model, shrink):
+    """Q_K^H Q_K, Q_K the rows of Q in the shrunk window: the window
+    projector in quotient coordinates as the product of the D-row factors."""
+    keep = row_mask(model.space, tuple(c - shrink for c in model.exact_window))
+    q = model.quotient_basis.basis
+    return (q.conj().T * keep) @ q
+
+
+def masked_span(vectors, keep):
+    """Range basis of the columns with the rows outside ``keep`` zeroed: the
+    windowed span of the vectors, kept in all D rows."""
+    return range_basis(vectors * keep[:, None])
 
 
 def random_subspace(rng, ambient, dim):
@@ -129,6 +144,15 @@ def test_wandering_subspace_matches_dense_intersection(degree, sym):
         assert dense_distance(got, ref) <= 1e-10
 
 
+@pytest.mark.parametrize("degree, sym", hardy_model_shapes())
+def test_quotient_mask_is_the_window_projector(degree, sym):
+    model = quotient_model(build_space(sym.n, degree, sym.output_dim), sym)
+    for shrink in (0, 1, 2):
+        mask = quotient_mask(model, shrink)
+        assert spec_norm(mask - window_projector(model, shrink)) <= 2e-10
+        assert spec_norm(mask @ mask - mask) <= 1e-14
+
+
 def dense_leak(model, i):
     """||K_1 (I - P_S) M_i P_S K_0||, the submodule invariance residual read
     through dense projectors."""
@@ -181,13 +205,13 @@ def wandering_by_range_gram(model):
 
 def quotient_coordinate_readings(model):
     """(residuals, dims) of structural_checks read in quotient coordinates:
-    every quotient-side identity as ||P X P|| with P = quotient_mask, the
+    every quotient-side identity as ||P X P|| with P = window_projector, the
     joint defect of size n * quotient_dim, the row masks applied by
     multiplication and W_eff = range_basis(W [X_0 ... X_{n-1}])."""
     space, n, qd = model.space, model.space.n, model.quotient_dim
     t = model_tuple(model)
     q, s = model.quotient_basis.basis, model.submodule_basis.basis
-    mask1, mask2 = quotient_mask(model, 1), quotient_mask(model, 2)
+    mask1, mask2 = window_projector(model, 1), window_projector(model, 2)
     keep0 = row_mask(space, model.exact_window)
     keep1 = row_mask(space, tuple(c - 1 for c in model.exact_window))
     mq = [shift_apply(space, i, q) for i in range(n)]
@@ -224,7 +248,7 @@ def quotient_coordinate_readings(model):
     res["commutator_range_inclusion"] = max(
         (containment_residual(delta, truncated_spaces[i]) if truncated_spaces[i].dim else spec_norm(delta)
          for (i, _), delta in commutators.items()), default=0.0)
-    theta_cols = model.symbol_mat[:, : model.symbol.input_dim]
+    theta_cols = symbol_matrix(space, model.symbol)[0][:, : model.symbol.input_dim]
     res["truncated_defect_space_formula"] = max(
         projector_residual(range_basis(mask1 @ (mask1 @ (mq[j].conj().T @ theta_cols))), truncated_spaces[j])
         for j in range(n))
@@ -294,7 +318,7 @@ def test_structural_checks_match_the_quotient_coordinate_readings(degree, sym):
     want, want_dims = quotient_coordinate_readings(model)
     dims = dict(report.dims)
     assert (dims.pop("window1"), dims.pop("window2")) == tuple(
-        round(float(np.trace(quotient_mask(model, k)).real)) for k in (1, 2))
+        round(float(np.trace(window_projector(model, k)).real)) for k in (1, 2))
     assert dims == want_dims
     assert report.residuals.keys() == want.keys()
     for name, value in want.items():
