@@ -587,7 +587,7 @@ def model_tuple(model: QuotientModel, tol: float = DEFAULT_TOL) -> CTuple:
     return validate(model.model_ops, tol)
 
 
-def window_rows(model: QuotientModel, shrink: int = 0) -> np.ndarray:
+def window_rows(model: QuotientModel, shrink: int) -> np.ndarray:
     """Selector of the rows of the model's exact window with every cap
     lowered by ``shrink``: the one construction of a model's window rows."""
     return row_mask(model.space, tuple(c - shrink for c in model.exact_window))
